@@ -105,12 +105,25 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _median_over_replays(result: PassResult, figure) -> float:
+    """``figure(units, busy_s, latencies)`` of the whole pass, or its
+    median over the pass's trace replays (serve)."""
+    replays = result.replays or [(result.units, result.busy_s, result.latencies_s)]
+    return statistics.median(figure(*replay) for replay in replays)
+
+
 def end_to_end(result: PassResult, setup_times: Sequence[float]) -> Dict[str, float]:
     return {
         "setup_s": statistics.median(setup_times),
-        "capacity_per_min": 60.0 * result.units / result.busy_s,
-        "latency_p50_ms": 1e3 * percentile(result.latencies_s, 50),
-        "latency_p90_ms": 1e3 * percentile(result.latencies_s, 90),
+        "capacity_per_min": _median_over_replays(
+            result, lambda units, busy, _: 60.0 * units / busy
+        ),
+        "latency_p50_ms": _median_over_replays(
+            result, lambda _, __, latencies: 1e3 * percentile(latencies, 50)
+        ),
+        "latency_p90_ms": _median_over_replays(
+            result, lambda _, __, latencies: 1e3 * percentile(latencies, 90)
+        ),
         "best_gflops_geomean": geomean(result.gflops),
         "ok_frac": 1.0 - result.failed / result.units,
         "peak_rss_mb": peak_rss_mb(),
@@ -124,7 +137,10 @@ def extra_figures(workload: str, result: PassResult) -> Dict[str, float]:
     if workload == "corpus":
         out["speedup_vs_pfs_geomean"] = geomean(result.speedups)
     if workload == "serve-zipf":
-        out["serve_capacity_rps"] = result.units / result.busy_s
+        out["serve_capacity_rps"] = _median_over_replays(
+            result, lambda units, busy, _: units / busy
+        )
+        out["trace_replays"] = result.rounds
         out["loadgen_late_max_s"] = result.late_max_s
     return out
 

@@ -92,7 +92,7 @@ def main(argv=None) -> int:
             )
             write_chrome_trace(tracer.spans, trace_path)
             print(f"traced pass: {result.units} units, {len(tracer.spans)} spans -> {trace_path}")
-            # busy time: the open loop's idle waits are not work
+            # busy time: per-replay store copies are not work
             print("self time by layer (traced pass, busy time):")
             print("\n".join(self_time_table(tracer.spans, result.busy_s)))
             print("per-layer metrics:")

@@ -17,8 +17,9 @@ API in one process with ``jobs=1``:
 ``serve-zipf``
     ``repro serve``: a journal store primed with the 8 most popular of a
     24-matrix catalogue, then an open-loop, evenly spaced trace of
-    Zipf-skewed requests.  Exact hits (store reads) set the median and
-    first-time neighbour transfers (journal write-backs) set the tail.
+    Zipf-skewed requests, replayed from a fresh copy of the primed store
+    as often as the time allows.  Exact hits (store reads) set the median
+    and first-time neighbour transfers (journal write-backs) set the tail.
 
 A pass runs until its time is up (or for a fixed number of rounds, so a
 traced pass can repeat an untraced one exactly) and returns a
@@ -118,15 +119,18 @@ class PassResult:
     #: searches without a valid design, matrices without a search winner
     #: or PFS choice, and ``miss``/``degraded`` serve answers
     failed: int = 0
-    #: cycles (search-large), corpus passes (corpus) or requests (serve)
+    #: cycles (search-large), corpus passes (corpus) or trace replays (serve)
     rounds: int = 0
     wall_s: float = 0.0
     #: time inside the timed calls: excludes in-pass output checks and,
-    #: in the open loop, the generator's idle waits
+    #: on serve, copying the primed store for each replay
     busy_s: float = 0.0
     #: per-unit latency: search wall, corpus matrix wall, or serve
     #: request completion minus its due time
     latencies_s: List[float] = field(default_factory=list)
+    #: serve only: (requests, busy seconds, latencies) of each trace
+    #: replay; the end-to-end figures are medians over the replays
+    replays: List[Tuple[int, float, List[float]]] = field(default_factory=list)
     #: one GFLOPS figure per distinct input (winner or served answer)
     gflops: List[float] = field(default_factory=list)
     #: per-matrix speedups of the search winner over PFS (corpus only)
@@ -216,17 +220,6 @@ def with_values(shape: SparseMatrix, seed: int, name: str) -> SparseMatrix:
 
 def _rows(rows: int, scale: float) -> int:
     return max(64, int(rows * scale))
-
-
-def _wait_until(deadline: float) -> None:
-    """Spin until ``deadline``.
-
-    Sleeping lets the host idle the vCPU between requests; the request
-    after a sleep then ran measurably slower and at a varying rate, and
-    ``time.sleep`` also overshoots by a fraction of a millisecond, the size
-    of an exact-hit answer.  A spinning generator keeps the core busy."""
-    while clock() < deadline:
-        pass
 
 
 def _dir_bytes(path: str) -> int:
@@ -409,8 +402,11 @@ class ServeZipf(Workload):
     name = "serve-zipf"
     CATALOGUE = 24
     PRIMED = 8
-    #: offered load; today's code answers it without a growing backlog
-    RATE_PER_S = 4.0
+    #: requests in one replay of the trace: p90 has ten beyond it
+    TRACE_REQUESTS = 100
+    #: offered load; today's code answers it without a backlog (its
+    #: slowest answers, the neighbour transfers, take under 0.4 s)
+    RATE_PER_S = 2.0
     ZIPF_EXPONENT = 1.0
 
     _FAMILIES = (
@@ -474,27 +470,56 @@ class ServeZipf(Workload):
                 frontend.resolve(matrix)
 
     def run(self, seconds=None, rounds=None) -> PassResult:
-        count = rounds if rounds is not None else int(round(self.RATE_PER_S * seconds))
-        ranks = self.schedule(count)
+        """Replay the trace until ``seconds`` are spent (or ``rounds`` times).
+
+        The generator and the frontend share one thread, so request ``i``
+        starts at ``max(due_i, end of request i-1)`` and its latency is
+        its end minus ``due_i``: a single-server queue under the open-loop
+        arrivals.  Requests run back to back and that queue is kept on a
+        virtual clock from their measured service times, rather than by
+        idling until each due time: a run then measures several replays
+        instead of one, and the host cannot slow the vCPU down in the
+        idle gaps."""
+        ranks = self.schedule(self.TRACE_REQUESTS)
+        out = PassResult()
+        answers: Dict[int, Tuple] = {}
+        start = clock()
+        while _more_rounds(out.rounds, clock() - start, seconds, rounds):
+            self._replay_trace(ranks, out, answers)
+            out.rounds += 1
+        out.wall_s = clock() - start
+        out.busy_s = sum(out.service_s)
+        out.gflops = [gflops for _, _, gflops in answers.values()]
+        out.outputs = [
+            (self.catalogue[rank], graph, gflops, artifact)
+            for rank, (graph, artifact, gflops) in sorted(answers.items())
+        ]
+        return out
+
+    def _replay_trace(self, ranks: List[int], out: PassResult, answers: Dict[int, Tuple]) -> None:
+        """One replay of the trace against a fresh copy of the primed store."""
         path = self._store_path("run")
         shutil.rmtree(path, ignore_errors=True)
         shutil.copytree(self._store_path("primed"), path)
         bytes_before = _dir_bytes(path)
         store = open_store(path, backend="journal")
-        out = PassResult(rounds=count)
-        answers: Dict[int, Tuple] = {}
+        latencies: List[float] = []
+        busy = 0.0
+        free_at = 0.0  # virtual time at which the frontend is next idle
         with Frontend(GPU, store) as frontend:
-            start = clock()
             for i, rank in enumerate(ranks):
-                due = start + i / self.RATE_PER_S
-                _wait_until(due)
+                due = i / self.RATE_PER_S
+                begin = max(due, free_at)
                 t0 = clock()
                 response = frontend.resolve(self.catalogue[rank])
-                t1 = clock()
-                out.late_max_s = max(out.late_max_s, t0 - due)
-                out.latencies_s.append(t1 - due)
-                out.service_s.append(t1 - t0)
+                service = clock() - t0
+                free_at = begin + service
+                busy += service
+                out.late_max_s = max(out.late_max_s, begin - due)
+                latencies.append(free_at - due)
+                out.service_s.append(service)
                 out.tiers.append(response.source)
+                out.units += 1
                 if response.source in ("miss", "degraded") or response.graph is None:
                     out.failed += 1
                 else:
@@ -502,17 +527,11 @@ class ServeZipf(Workload):
                     if previous is not None and previous[2] != response.gflops:
                         out.mismatches += 1
                     answers[rank] = (response.graph, response.artifact, response.gflops)
-            out.wall_s = clock() - start
-        out.units = count
-        out.busy_s = sum(out.service_s)
+        out.latencies_s.extend(latencies)
+        out.replays.append((len(ranks), busy, latencies))
+        # every replay writes the same records; keep one replay's bytes
         out.store_bytes = _dir_bytes(path) - bytes_before
-        out.gflops = [gflops for _, _, gflops in answers.values()]
-        out.outputs = [
-            (self.catalogue[rank], graph, gflops, artifact)
-            for rank, (graph, artifact, gflops) in sorted(answers.items())
-        ]
         shutil.rmtree(path, ignore_errors=True)
-        return out
 
     def close(self) -> None:
         for tag in ("primed", "run"):

@@ -184,6 +184,15 @@ def test_duplicates_and_evals_to_best():
     assert summary.evals_to_best == 5
 
 
+def test_serve_figures_are_medians_over_trace_replays():
+    replays = [(100, busy, [busy / 1e3] * 100) for busy in (3.0, 1.0, 2.0)]
+    result = suite.PassResult(units=300, busy_s=6.0, replays=replays)
+    e2e = report.end_to_end(result, [1.0])
+    assert e2e["capacity_per_min"] == pytest.approx(60.0 * 100 / 2.0)
+    assert e2e["latency_p50_ms"] == pytest.approx(2.0)
+    assert e2e["latency_p90_ms"] == pytest.approx(2.0)
+
+
 def test_nearest_rank_percentile():
     values = list(range(1, 101))
     assert report.percentile(values, 50) == 50
@@ -200,7 +209,7 @@ def test_tiny_workload_runs_and_checks(name, tmp_path):
     workload = suite.WORKLOADS[name](1, str(tmp_path), scale=TINY)
     try:
         workload.setup()
-        untraced = workload.run(rounds=8 if name == "serve-zipf" else 1)
+        untraced = workload.run(rounds=1)
         tracer = spans.Tracer()
         with tracer.patched():
             traced = workload.run(rounds=untraced.rounds)
@@ -217,6 +226,10 @@ def test_tiny_workload_runs_and_checks(name, tmp_path):
     layers = report.per_layer(traced, tracer.spans, untraced)
     assert list(layers) == [name for name, _, _ in report.PER_LAYER]
     assert layers["trace.remainder_s"] >= 0.0
+    if name == "serve-zipf":
+        # the virtual-clock queue: nothing ends before its own service time
+        assert len(traced.replays) == traced.rounds == 1
+        assert all(lat >= svc for lat, svc in zip(traced.latencies_s, traced.service_s))
     assert tracer.spans and all(s.end >= s.start for s in tracer.spans)
     assert not list(tmp_path.iterdir())
 
