@@ -1,9 +1,7 @@
 """Record (or regression-check) the staged-runtime search-speed baseline.
 
-Runs one standard-budget search per corpus matrix in five configurations —
-serial/uncached (the pre-refactor behaviour), serial/cached with the
-batched group evaluator ablated, serial/cached, and cached with 2 and 4
-workers — asserts their search histories agree bit-for-bit, and writes
+Runs one standard-budget search per corpus matrix serially and with 2 and
+4 workers, asserts their search histories agree bit-for-bit, and writes
 best-of-N wall-clock numbers plus cache counters to
 ``BENCH_search_speed.json`` at the repo root.  Not a pytest module: run
 it directly.
@@ -11,7 +9,7 @@ it directly.
     PYTHONPATH=src python benchmarks/bench_search_speed.py
 
 ``--check`` mode (the CI perf gate) re-measures only the serial
-configurations, best-of-N, and fails — without touching the committed
+configuration, best-of-N, and fails — without touching the committed
 JSON — when serial search runs slower than ``--max-regression`` times the
 recorded baseline:
 
@@ -41,14 +39,8 @@ MATRICES = [
 ]
 
 
-def _run(jobs: int, cache: bool, seed: int = 0, batch: bool = True):
-    engine = SearchEngine(
-        A100,
-        budget=SearchBudget(jobs=jobs),
-        seed=seed,
-        enable_design_cache=cache,
-        enable_batch_eval=batch,
-    )
+def _run(jobs: int, seed: int = 0):
+    engine = SearchEngine(A100, budget=SearchBudget(jobs=jobs), seed=seed)
     t0 = time.perf_counter()
     with engine:
         results = engine.search_many(MATRICES)
@@ -67,29 +59,17 @@ def check(max_regression: float, repeats: int) -> int:
     regressions, not hardware differences)."""
     try:
         with open(OUT_PATH) as fh:
-            recorded = json.load(fh)["wall_s"]
+            baseline = json.load(fh)["wall_s"]["serial_cached"]
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"cannot load committed baseline {OUT_PATH}: {exc}")
         return 2
-    failures = []
-    for name, cfg in (
-        ("serial_cached", dict(jobs=1, cache=True)),
-        ("serial_uncached", dict(jobs=1, cache=False)),
-    ):
-        baseline = recorded.get(name)
-        if baseline is None:
-            print(f"baseline has no {name!r} entry; re-record it")
-            return 2
-        wall = min(_run(**cfg)[0] for _ in range(repeats))
-        ratio = wall / baseline
-        verdict = "ok" if ratio <= max_regression else "REGRESSION"
-        print(f"{name:>16}: {wall:6.3f}s vs recorded {baseline:6.3f}s "
-              f"({ratio:4.2f}x, limit {max_regression:.1f}x) {verdict}")
-        if ratio > max_regression:
-            failures.append(name)
-    if failures:
-        print(f"serial search regressed >{max_regression:.1f}x on: "
-              f"{', '.join(failures)}")
+    wall = min(_run(jobs=1)[0] for _ in range(repeats))
+    ratio = wall / baseline
+    verdict = "ok" if ratio <= max_regression else "REGRESSION"
+    print(f"   serial_cached: {wall:6.3f}s vs recorded {baseline:6.3f}s "
+          f"({ratio:4.2f}x, limit {max_regression:.1f}x) {verdict}")
+    if ratio > max_regression:
+        print(f"serial search regressed >{max_regression:.1f}x")
         return 1
     return 0
 
@@ -111,11 +91,9 @@ def main() -> int:
     if args.check:
         return check(args.max_regression, args.repeats)
     configs = {
-        "serial_uncached": dict(jobs=1, cache=False),
-        "serial_nobatch": dict(jobs=1, cache=True, batch=False),
-        "serial_cached": dict(jobs=1, cache=True),
-        "jobs2_cached": dict(jobs=2, cache=True),
-        "jobs4_cached": dict(jobs=4, cache=True),
+        "serial_cached": dict(jobs=1),
+        "jobs2_cached": dict(jobs=2),
+        "jobs4_cached": dict(jobs=4),
     }
     walls = {}
     outcomes = {}
@@ -130,46 +108,37 @@ def main() -> int:
               f"designs={sum(r.designer_runs for r in results)}  "
               f"evals={sum(r.total_evaluations for r in results)}")
 
-    # Bit-for-bit agreement: every configuration must reproduce the exact
-    # candidate-by-candidate search history of the uncached serial loop
-    # (batched vs per-candidate, cached vs not, any worker count).
-    reference = outcomes["serial_uncached"]
-    reference_ids = _identities(reference)
+    # Bit-for-bit agreement: every worker count must reproduce the exact
+    # candidate-by-candidate search history of the serial loop (agreement
+    # with an uncached per-candidate evaluation is a tier-1 test).
+    cached = outcomes["serial_cached"]
+    reference_ids = _identities(cached)
     for name, results in outcomes.items():
         assert _identities(results) == reference_ids, (
-            f"{name} search history diverged from serial_uncached"
+            f"{name} search history diverged from serial_cached"
         )
-        for got, want in zip(results, reference):
+        for got, want in zip(results, cached):
             assert got.best_gflops == want.best_gflops, (
                 f"{name} diverged on {want.matrix_name}"
             )
 
-    cached = outcomes["serial_cached"]
+    total_evaluations = sum(r.total_evaluations for r in cached)
+    designer_runs = sum(r.designer_runs for r in cached)
     record = {
         "recorded_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),
         "budget": "SearchBudget() defaults",
         "matrices": [m.name for m in MATRICES],
         "wall_s": {k: round(v, 3) for k, v in walls.items()},
-        "speedup_vs_uncached": {
-            k: round(walls["serial_uncached"] / v, 2)
-            for k, v in walls.items()
-        },
-        "batch_eval_speedup": round(
-            walls["serial_nobatch"] / walls["serial_cached"], 2
-        ),
         "searches_per_min": {
             k: round(len(MATRICES) * 60.0 / v, 1) for k, v in walls.items()
         },
-        "total_evaluations": sum(r.total_evaluations for r in cached),
-        "designer_runs": {
-            "uncached": sum(r.designer_runs for r in reference),
-            "cached": sum(r.designer_runs for r in cached),
-        },
+        "total_evaluations": total_evaluations,
+        "designer_runs": {"cached": designer_runs},
+        # An uncached search runs the Designer once per evaluation, so
+        # evaluations per Designer run is the cache's reduction factor.
         "designer_run_reduction": round(
-            sum(r.designer_runs for r in reference)
-            / max(1, sum(r.designer_runs for r in cached)),
-            2,
+            total_evaluations / max(1, designer_runs), 2
         ),
         "design_cache": {
             "hits": sum(r.design_cache_hits for r in cached),

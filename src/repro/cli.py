@@ -84,6 +84,7 @@ from repro.search import SearchBudget, SearchEngine
 from repro.search.evaluation import matrix_token
 from repro.serve import Frontend, default_serve_budget
 from repro.sparse import NAMED_MATRICES, corpus, named_matrix, read_matrix_market
+from repro.sparse.io import MatrixMarketError
 from repro.sparse.matrix import SparseMatrix
 from repro.staticcheck import Severity, Verdict, analyze_design, audit_store
 from repro.store import DesignStore, StoreError, search_result_record
@@ -93,9 +94,20 @@ __all__ = ["main"]
 
 
 def _load_matrix(spec: str) -> SparseMatrix:
-    if spec.startswith("@"):
-        return named_matrix(spec[1:])
-    return read_matrix_market(spec)
+    """``@name`` (a built-in matrix) or a Matrix Market path; a spec that
+    names neither ends the command with one ``error:`` line and exit 2."""
+    try:
+        if spec.startswith("@"):
+            return named_matrix(spec[1:])
+        return read_matrix_market(spec)
+    except KeyError as exc:
+        reason = exc.args[0]
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except MatrixMarketError as exc:
+        reason = str(exc)
+    print(f"error: cannot load matrix {spec!r}: {reason}")
+    raise SystemExit(2)
 
 
 def _workload_arg(value: str) -> Workload:
@@ -235,7 +247,7 @@ def _search_single(engine, matrix, spec, gpu, args) -> int:
 
 def _render_profile(result) -> str:
     """Stage-timing breakdown of one search (``--profile``)."""
-    stages = ["design", "assembly", "project", "analysis",
+    stages = ["design", "assembly", "project",
               "batch_assembly", "batch_cost", "verify", "ml"]
     times = dict(result.stage_times)
     accounted = sum(times.get(s, 0.0) for s in stages)
@@ -777,11 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the Perfect Format Selector")
     p.add_argument("--profile", action="store_true",
                    help="print the per-stage timing breakdown (design / "
-                        "assembly / analysis / verify / ml, plus "
-                        "batch_assembly / batch_cost for the vectorized "
-                        "group evaluator; 'analysis' = plan analysis + "
-                        "cost projection + functional execution) and "
-                        "leaf-analysis cache counters")
+                        "batch_assembly / batch_cost / verify / ml, plus "
+                        "assembly / project for the successive-halving "
+                        "rung) and leaf-analysis cache counters")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser(

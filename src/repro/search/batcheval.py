@@ -1,11 +1,12 @@
 """Vectorized batch evaluation: candidates sharing a design as one pass.
 
-The hot loop of the three-level search measures a structure's parameter
-assignments one candidate at a time: every candidate re-applies its graph
-parameters, re-walks the design cache, re-assembles a plan and replays the
-executor — even though most candidates of a batch differ only in runtime
-scalars and share every cached quantity.  This module converts that
-per-candidate interpreter loop into array-at-a-time execution:
+This module is the one place a candidate is measured — by the search
+engine's levels 2 and 3, its warm-start donor and the serving frontend's
+neighbour transfers alike.  Most candidates of an ask batch differ only in
+runtime scalars and share every cached quantity, so instead of building
+and running each candidate on its own (re-applying its graph parameters,
+re-walking the design cache, re-assembling a plan, replaying the
+executor) a batch is measured array-at-a-time:
 
 :func:`group_candidates`
     Splits one ask batch into *design groups* — candidates whose merged
@@ -25,12 +26,13 @@ per-candidate interpreter loop into array-at-a-time execution:
     batched :class:`~repro.gpu.analysis.LeafAnalysis` entry points (one
     lock trip per group instead of one per candidate); the functional
     result is read once per leaf and numeric verification runs once per
-    design, as before.  Scoring replicates
+    design.  Scoring replicates
     :meth:`~repro.core.kernel.program.GeneratedProgram.run` float-for-float
-    (same accumulation order, same error strings), so the batched and
-    per-candidate paths produce byte-identical search histories — the
-    engine's ``enable_batch_eval`` ablation and the golden-digest tests
-    pin that equivalence.
+    (same accumulation order, same error strings), so every result equals
+    a plain uncached ``KernelBuilder.build`` + ``GeneratedProgram.run`` +
+    ``Workload.allclose`` of the candidate — the golden-digest tests and
+    the per-candidate differential oracle in the test suite pin that
+    equivalence.
 
 Stage accounting: group assembly lands in ``batch_assembly``, cost +
 scoring in ``batch_cost``, and numeric verification stays under ``verify``
@@ -73,8 +75,8 @@ __all__ = [
     "group_candidates",
 ]
 
-#: the exceptions one candidate's failure is allowed to surface as (the
-#: same set the per-candidate evaluator folds into a zero-score record).
+#: the exceptions one candidate's failure is allowed to surface as (each
+#: is folded into a zero-score record).
 EVAL_ERRORS = (DesignError, BuildError, PlanValidationError, GraphValidationError)
 
 
@@ -148,10 +150,9 @@ def _sum_y(ys: Sequence[np.ndarray], shape) -> np.ndarray:
 class BatchEvaluator:
     """Evaluates one design group of candidates as a single pass.
 
-    Built by the engine from its staged evaluator; requires the design and
-    leaf-analysis caches (the engine falls back to the per-candidate path
-    when either is ablated).  One ``evaluate_group`` call is one work unit
-    of the evaluation runtime, so ``--jobs`` shards groups, not candidates;
+    Built by the engine from its staged evaluator, whose design and
+    leaf-analysis caches it reads.  One ``evaluate_group`` call is one work
+    unit of the evaluation runtime, so ``--jobs`` shards groups, not candidates;
     the group's representative graph is private to the call, keeping
     pooled execution race-free.
     """
@@ -175,10 +176,10 @@ class BatchEvaluator:
     ) -> List[Tuple[float, Optional[GeneratedProgram], str]]:
         """``(gflops, program, error)`` per candidate, in submission order.
 
-        Mirrors ``SearchEngine._evaluate`` byte-for-byte: the same error
-        strings (cached failures replay their exact class and message), the
-        same GFLOPS accumulation order, the same once-per-design numeric
-        verdict.
+        Equal, triple for triple, to building each candidate uncached and
+        running it: the same error strings (cached failures replay their
+        exact class and message), the same GFLOPS accumulation order; the
+        numeric verdict is computed once per design.
         """
         evaluator = self.evaluator
         timings = evaluator.timings

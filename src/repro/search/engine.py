@@ -9,12 +9,14 @@ termination of the first two levels; every invalid candidate (dependency
 violation, semantic reduction failure, wrong numeric result) scores zero and
 is recorded, mirroring how the real system discards non-compiling kernels.
 
-Candidate evaluation is delegated to the staged runtime of
-:mod:`repro.search.evaluation`: design leaves are computed once per
-structure signature and reused across the whole runtime-parameter grid
-(content-addressed :class:`~repro.search.evaluation.DesignCache`), and a
-structure's parameter grid is evaluated as an ordered batch over an
-optional worker pool (``SearchBudget.jobs``).  The engine itself holds no
+Every candidate is measured by one path,
+:meth:`~repro.search.batcheval.BatchEvaluator.evaluate_group`: a
+structure's parameter assignments are grouped by design identity, design
+leaves are computed once per structure signature and reused across the
+whole runtime-parameter grid (the staged runtime of
+:mod:`repro.search.evaluation`), and the groups are evaluated as an
+ordered batch over an optional worker pool (``SearchBudget.jobs``).
+Serve-tier neighbour transfers go through the same call.  The engine holds no
 per-search mutable state — schedules and RNGs are created per
 :meth:`SearchEngine.search` call — so one engine (one cache, one pool) can
 drive many searches, including the collection-level
@@ -30,14 +32,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.designer import DesignError
 from repro.core.graph import GraphValidationError, OperatorGraph
-from repro.core.kernel.builder import BuildError, KernelBuilder
+from repro.core.kernel.builder import KernelBuilder
 from repro.core.kernel.program import GeneratedProgram
 from repro.core.optimizer import ModelDrivenCompressor
 from repro.gpu.arch import GPUSpec
-from repro.gpu.executor import PlanValidationError
-from repro.gpu.analysis import LeafAnalysisCache, content_digest
+from repro.gpu.analysis import content_digest
 from repro.search.annealing import AnnealingSchedule
 from repro.search.batcheval import (
     BatchEvaluator,
@@ -45,7 +45,6 @@ from repro.search.batcheval import (
     group_candidates,
 )
 from repro.search.evaluation import (
-    DesignCache,
     EvaluationRuntime,
     StagedEvaluator,
     StageTimings,
@@ -162,8 +161,9 @@ class SearchResult:
     design_cache_misses: int = 0
     jobs: int = 1
     #: leaf-analysis cache counters (design-level lookups) and the
-    #: per-stage wall-time breakdown (design / assembly / analysis /
-    #: verify / ml) accumulated by the staged evaluator.
+    #: per-stage wall-time breakdown (design / batch_assembly /
+    #: batch_cost / verify / ml, plus assembly / project for the
+    #: successive-halving rung) accumulated by the staged evaluator.
     analysis_cache_hits: int = 0
     analysis_cache_misses: int = 0
     stage_times: Dict[str, float] = field(default_factory=dict)
@@ -239,7 +239,7 @@ class _SearchState:
     #: static-verifier verdicts memoized per (structure signature, params
     #: with grid_threads masked) — the verifier reads threads_per_block
     #: but never grid_threads, so candidates differing only in work grain
-    #: share one verdict.  Used by the batched path only.
+    #: share one verdict.
     static_memo: Dict[Tuple, bool] = field(default_factory=dict)
 
     def time_up(self) -> bool:
@@ -270,15 +270,11 @@ class SearchEngine:
         enable_extensions: bool = False,
         enable_seeding: bool = True,
         enable_static_pruning: bool = True,
-        enable_design_cache: bool = True,
-        enable_analysis_cache: bool = True,
         runtime: Optional[EvaluationRuntime] = None,
         store: Optional[DesignStore] = None,
         workload: Optional[Workload] = None,
         sampler: Optional[object] = None,
         sampler_seed: Optional[int] = None,
-        enable_sampler_pruning: bool = True,
-        enable_batch_eval: bool = True,
         warm_start_store: Optional[DesignStore] = None,
     ) -> None:
         self.gpu = gpu
@@ -318,46 +314,19 @@ class SearchEngine:
         #: (``Sampler.prunes``); losing candidates are dropped after a
         #: cheap cost-projection rung and counted in
         #: ``SearchResult.sampler_pruned``.
-        self.enable_sampler_pruning = enable_sampler_pruning
         self.sh_pruner = SuccessiveHalvingPruner()
         self.builder = KernelBuilder(
             compressor=ModelDrivenCompressor(), workload=self.workload
-        )
-        #: content-addressed Designer-output cache (None = ablated)
-        self.cache: Optional[DesignCache] = (
-            DesignCache() if enable_design_cache else None
-        )
-        #: leaf-level plan-analysis cache (None = ablated): shares cost
-        #: projections, functional y and verdicts across each design
-        #: leaf's runtime-parameter grid.
-        self.analysis: Optional[LeafAnalysisCache] = (
-            LeafAnalysisCache() if enable_analysis_cache else None
         )
         #: persistent design store (None = purely in-memory caching):
         #: searches read stored designs through the cache and write every
         #: Designer outcome back, so a later *process* warm-starts.
         self.store = store
-        self.evaluator = StagedEvaluator(
-            self.builder,
-            cache=self.cache,
-            analysis=self.analysis,
-            store=store,
-            arch=gpu.name,
-        )
-        #: batched group evaluator (None = legacy per-candidate path):
-        #: candidates sharing a design signature evaluate as one vectorized
-        #: pass (see :mod:`repro.search.batcheval`).  Requires both the
-        #: design and analysis caches — ablating either falls back to the
-        #: per-candidate path, so cache-off counters keep their historical
-        #: meaning (one Designer run per evaluation, etc.).  Histories are
-        #: byte-identical batched vs not.
-        self.batch: Optional[BatchEvaluator] = (
-            BatchEvaluator(self.evaluator, gpu, self.workload)
-            if enable_batch_eval
-            and self.cache is not None
-            and self.analysis is not None
-            else None
-        )
+        self.evaluator = StagedEvaluator(self.builder, store=store, arch=gpu.name)
+        #: the one candidate-measuring path: candidates sharing a design
+        #: signature evaluate as one vectorized pass (see
+        #: :mod:`repro.search.batcheval`).
+        self.batch = BatchEvaluator(self.evaluator, gpu, self.workload)
         #: store consulted for cross-matrix warm starts (None = off): each
         #: search seeds itself from the closest prior winner's graph,
         #: injected as an iteration-0 candidate before the ask/tell loop.
@@ -407,10 +376,8 @@ class SearchEngine:
     ) -> SearchResult:
         start = time.perf_counter()
         rng = np.random.default_rng(self.seed if seed is None else seed)
-        cache_before = self.cache.stats() if self.cache is not None else None
-        analysis_before = (
-            self.analysis.stats() if self.analysis is not None else None
-        )
+        cache_before = self.evaluator.cache.stats()
+        analysis_before = self.evaluator.analysis.stats()
         timings_before = self.evaluator.timings.snapshot()
         store_before = self.store.stats() if self.store is not None else None
         designer_before = self.builder.designer.executions
@@ -440,7 +407,7 @@ class SearchEngine:
                 else (self.seed if seed is None else seed)
             ),
         )
-        prune = sampler.prunes and self.enable_sampler_pruning
+        prune = sampler.prunes
 
         x = self.workload.make_operand(matrix)
         reference = self.workload.reference(matrix, x)
@@ -515,16 +482,8 @@ class SearchEngine:
             ml_mad = self._ml_level(matrix, state, structure_store, rng)
 
         designer_runs = self.builder.designer.executions - designer_before
-        cache_delta = (
-            self.cache.stats().since(cache_before)
-            if cache_before is not None
-            else None
-        )
-        analysis_delta = (
-            self.analysis.stats().since(analysis_before)
-            if analysis_before is not None
-            else None
-        )
+        cache_delta = self.evaluator.cache.stats().since(cache_before)
+        analysis_delta = self.evaluator.analysis.stats().since(analysis_before)
         stage_times = StageTimings.since(
             timings_before, self.evaluator.timings.snapshot()
         )
@@ -547,11 +506,11 @@ class SearchEngine:
             ml_mad=ml_mad,
             wall_time_s=time.perf_counter() - start,
             designer_runs=designer_runs,
-            design_cache_hits=cache_delta.hits if cache_delta else 0,
-            design_cache_misses=cache_delta.misses if cache_delta else 0,
+            design_cache_hits=cache_delta.hits,
+            design_cache_misses=cache_delta.misses,
             jobs=self.runtime.jobs,
-            analysis_cache_hits=analysis_delta.hits if analysis_delta else 0,
-            analysis_cache_misses=analysis_delta.misses if analysis_delta else 0,
+            analysis_cache_hits=analysis_delta.hits,
+            analysis_cache_misses=analysis_delta.misses,
             stage_times=stage_times,
             store_hits=store_delta.design_hits if store_delta else 0,
             store_misses=store_delta.design_misses if store_delta else 0,
@@ -588,44 +547,31 @@ class SearchEngine:
         """
         candidates = list(assignments)
         if state.facts is not None:
+            # Verdicts are memoized per runtime-masked key (grid_threads
+            # only — the verifier reads threads_per_block), so a
+            # structure's whole work-grain axis shares one analyze_design
+            # pass.
             kept = []
-            if self.batch is not None:
-                # Batched mode: memoize verdicts per runtime-masked key
-                # (grid_threads only — the verifier reads
-                # threads_per_block), so a structure's whole work-grain
-                # axis shares one analyze_design pass.
-                op_names = [node.op_name for node in proposal.graph.walk()]
-                for assignment in candidates:
-                    merged = dict(proposal.locks)
-                    merged.update(assignment)
-                    memo_key = (
-                        proposal.signature,
-                        design_group_key(merged, op_names, keep_tpb=True),
-                    )
-                    invalid = state.static_memo.get(memo_key)
-                    if invalid is None:
-                        graph = graph_with_params(
-                            proposal.graph, assignment, proposal.locks
-                        )
-                        report = analyze_design(
-                            graph, self.workload, state.facts
-                        )
-                        invalid = report.verdict is Verdict.INVALID
-                        state.static_memo[memo_key] = invalid
-                    if invalid:
-                        state.static_pruned += 1
-                    else:
-                        kept.append(assignment)
-            else:
-                for assignment in candidates:
+            op_names = [node.op_name for node in proposal.graph.walk()]
+            for assignment in candidates:
+                merged = dict(proposal.locks)
+                merged.update(assignment)
+                memo_key = (
+                    proposal.signature,
+                    design_group_key(merged, op_names, keep_tpb=True),
+                )
+                invalid = state.static_memo.get(memo_key)
+                if invalid is None:
                     graph = graph_with_params(
                         proposal.graph, assignment, proposal.locks
                     )
                     report = analyze_design(graph, self.workload, state.facts)
-                    if report.verdict is Verdict.INVALID:
-                        state.static_pruned += 1
-                    else:
-                        kept.append(assignment)
+                    invalid = report.verdict is Verdict.INVALID
+                    state.static_memo[memo_key] = invalid
+                if invalid:
+                    state.static_pruned += 1
+                else:
+                    kept.append(assignment)
             candidates = kept
         if prune and len(candidates) > self.sh_pruner.min_survivors:
             return self._measure_pruned(matrix, proposal, candidates, state, level)
@@ -699,43 +645,32 @@ class SearchEngine:
         fold into the search state in submission order, keeping histories
         byte-identical between serial and pooled execution.
 
-        With the batched evaluator active, candidates sharing a design
-        signature are grouped and each group evaluates as one vectorized
-        pass — a work unit of the runtime, so ``--jobs`` shards groups,
-        not candidates.  Results scatter back into submission order; a
-        group cut off by the time limit leaves holes, which only occurs
-        where reproducibility is already waived.
+        Candidates sharing a design signature are grouped and each group
+        evaluates as one vectorized pass — a work unit of the runtime, so
+        ``--jobs`` shards groups, not candidates.  Results scatter back
+        into submission order; a group cut off by the time limit leaves
+        holes, which only occurs where reproducibility is already waived.
         """
         room = self.budget.max_total_evals - state.evals
         batch = list(candidates)[: max(0, room)]
+        groups = group_candidates(proposal, batch)
 
-        if self.batch is not None and batch:
-            groups = group_candidates(proposal, batch)
-
-            def run_group(group):
-                return self.batch.evaluate_group(
-                    matrix,
-                    proposal,
-                    group.assignments,
-                    state.token,
-                    state.x,
-                    state.reference,
-                    state.verify_key,
-                )
-
-            group_results = self.runtime.map(
-                run_group, groups, stop=state.time_up
+        def run_group(group):
+            return self.batch.evaluate_group(
+                matrix,
+                proposal,
+                group.assignments,
+                state.token,
+                state.x,
+                state.reference,
+                state.verify_key,
             )
-            results = [None] * len(batch)
-            for group, outs in zip(groups, group_results):
-                for position, out in zip(group.indices, outs):
-                    results[position] = out
-        else:
 
-            def run(assignment: Dict):
-                return self._evaluate(matrix, proposal, assignment, state)
-
-            results = self.runtime.map(run, batch, stop=state.time_up)
+        group_results = self.runtime.map(run_group, groups, stop=state.time_up)
+        results = [None] * len(batch)
+        for group, outs in zip(groups, group_results):
+            for position, out in zip(group.indices, outs):
+                results[position] = out
 
         records: List[EvalRecord] = []
         for assignment, result in zip(batch, results):
@@ -761,50 +696,6 @@ class SearchEngine:
                 )
                 state.best_program = program
         return records
-
-    # ------------------------------------------------------------------
-    def _evaluate(
-        self,
-        matrix: SparseMatrix,
-        proposal: SampledStructure,
-        assignment: Dict,
-        state: _SearchState,
-    ) -> Tuple[float, Optional[GeneratedProgram], str]:
-        """Build + run one candidate; invalid candidates score 0."""
-        timings = self.evaluator.timings
-        try:
-            graph = graph_with_params(proposal.graph, assignment, proposal.locks)
-            program = self.evaluator.build(matrix, graph, token=state.token)
-            t0 = time.perf_counter()
-            # "analysis" stage = plan analysis + cost projection +
-            # functional execution (program.run), cached or not — with the
-            # analysis cache on, hits make this stage collapse.
-            result = program.run(state.x, self.gpu, workload=self.workload)
-            timings.add("analysis", time.perf_counter() - t0)
-            # Order-tolerant gate: atomic-reduction candidates accumulate
-            # in a different order than the reference (see the workload's
-            # allclose).  The verdict is a function of the design (not the
-            # runtime scalars), so analysis-backed programs verify once
-            # per design.
-            t0 = time.perf_counter()
-            if program.analysis is not None:
-                ok = program.analysis.verdict(
-                    state.verify_key,
-                    lambda: self.workload.allclose(result.y, state.reference),
-                )
-            else:
-                ok = self.workload.allclose(result.y, state.reference)
-            timings.add("verify", time.perf_counter() - t0)
-            if not ok:
-                return 0.0, None, "numeric mismatch"
-            return float(result.gflops), program, ""
-        except (
-            DesignError,
-            BuildError,
-            PlanValidationError,
-            GraphValidationError,
-        ) as exc:
-            return 0.0, None, f"{type(exc).__name__}: {exc}"
 
     # ------------------------------------------------------------------
     def _warm_start_proposal(

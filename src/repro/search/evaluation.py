@@ -17,11 +17,9 @@ a first-class subsystem with three pieces:
 
 :class:`StagedEvaluator`
     Splits ``KernelBuilder.build`` into the structure-level design phase
-    (cached) and the parameter-level plan-assembly phase (run per
-    candidate).  With ``cache=None`` it degrades to the plain uncached
-    build, which the engine's ``enable_design_cache=False`` ablation uses.
-    With ``analysis`` set (a :class:`~repro.gpu.analysis.LeafAnalysisCache`)
-    assembly and execution become incremental across each design leaf's
+    (cached in its own :class:`DesignCache`) and the parameter-level
+    plan-assembly phase.  Its :class:`~repro.gpu.analysis.LeafAnalysisCache`
+    makes assembly and execution incremental across each design leaf's
     runtime grid: kernel units, cost projections and the functional ``y`` /
     numeric verdict are computed once per leaf and shared by every
     candidate.  Per-stage wall time is accumulated in :attr:`timings`.
@@ -39,10 +37,10 @@ a first-class subsystem with three pieces:
     ``concurrent.futures`` thread pool when ``jobs > 1``, a deterministic
     serial loop otherwise.  Results always return in submission order, so
     search trajectories are identical for every ``jobs`` setting.  Work
-    units may be whole design groups: the engine's batched path
-    (:mod:`repro.search.batcheval`) hands one
-    :class:`~repro.search.batcheval.CandidateGroup` per dispatch, so
-    ``--jobs`` shards groups, not candidates.
+    units are whole design groups: the engine hands one
+    :class:`~repro.search.batcheval.CandidateGroup` per dispatch to
+    :mod:`repro.search.batcheval`, so ``--jobs`` shards groups, not
+    candidates.
 """
 
 from __future__ import annotations
@@ -240,20 +238,22 @@ class StageTimings:
 
 class StagedEvaluator:
     """Two-phase candidate builds: cached design + per-candidate assembly,
-    with optional leaf-level analysis reuse across the runtime grid and
-    optional read-through persistence to a design store."""
+    with leaf-level analysis reuse across the runtime grid and optional
+    read-through persistence to a design store."""
 
     def __init__(
         self,
         builder: KernelBuilder,
-        cache: Optional[DesignCache] = None,
-        analysis: Optional[LeafAnalysisCache] = None,
         store: Optional[DesignStore] = None,
         arch: str = "",
     ) -> None:
         self.builder = builder
-        self.cache = cache
-        self.analysis = analysis
+        #: content-addressed Designer-output cache
+        self.cache = DesignCache()
+        #: leaf-level plan-analysis cache: shares cost projections,
+        #: functional y and verdicts across each design leaf's
+        #: runtime-parameter grid.
+        self.analysis = LeafAnalysisCache()
         #: persistent design store (``arch`` names the GPU the designs are
         #: stored under — designs here are arch-independent, but the store
         #: keys on it so a multi-arch deployment can never cross-serve).
@@ -319,13 +319,11 @@ class StagedEvaluator:
         """Design-phase leaves for ``(token, signature)``, cached + timed.
 
         The batched evaluator runs the design phase once per candidate
-        *group* through this entry point (the per-candidate :meth:`build`
-        path folds the same lookup into each build).
+        *group* through this entry point (:meth:`build` folds the same
+        lookup into each build).
         """
         t0 = time.perf_counter()
         try:
-            if self.cache is None:
-                return self._design(matrix, graph, token, signature)
             return self.cache.get_or_design(
                 (token, signature),
                 lambda: self._design(matrix, graph, token, signature),
@@ -345,19 +343,10 @@ class StagedEvaluator:
         evaluating many candidates of one matrix to hash the triplets once
         per search instead of once per candidate.
         """
-        if self.cache is None and self.analysis is None and self.store is None:
-            t0 = time.perf_counter()
-            leaves = self.builder.design_phase(matrix, graph)
-            self.timings.add("design", time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            program = self.builder.assembly_phase(matrix, graph, leaves)
-            self.timings.add("assembly", time.perf_counter() - t0)
-            return program
         token = token or matrix_token(matrix)
         signature = design_signature(graph)
-        key = (token, signature)
         leaves = self.design_leaves(matrix, graph, token, signature)
-        design = None if self.analysis is None else self.analysis.for_design(key)
+        design = self.analysis.for_design((token, signature))
         t0 = time.perf_counter()
         program = self.builder.assembly_phase(
             matrix, graph, leaves, analysis=design

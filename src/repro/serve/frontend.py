@@ -13,10 +13,11 @@ tiers, cheapest first:
    matrix statistics (the same sparsity features the pruning rules and the
    GBT cost model condition on, log-scaled; see
    :func:`repro.store.records.feature_vector`) are closest, transplant its
-   winning Operator Graph onto the new matrix, build + run + numerically
-   verify it.  One candidate evaluation instead of hundreds — and the
-   transferred result is written back, so it becomes an exact hit next
-   time.
+   winning Operator Graph onto the new matrix and measure it (build, run
+   and numerically verify) with the engine's batched evaluator — the call
+   every search candidate goes through.  One candidate evaluation instead
+   of hundreds — and the transferred result is written back, so it
+   becomes an exact hit next time.
 3. **Bounded fresh search** — fall back to a real (budget-capped) search
    through the store-backed engine; the result (and every design the
    search produced) is persisted for future requests.
@@ -53,16 +54,13 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.designer import DesignError
 from repro.core.graph import GraphValidationError, OperatorGraph
-from repro.core.kernel.builder import BuildError
+from repro.gpu.analysis import content_digest
 from repro.gpu.arch import GPUSpec
-from repro.gpu.executor import PlanValidationError
 from repro.reliability.retry import RetryPolicy
 from repro.search.engine import SearchBudget, SearchEngine
 from repro.search.evaluation import matrix_token
+from repro.search.space import SampledStructure
 from repro.sparse.matrix import SparseMatrix
 from repro.store.design import DesignStore
 from repro.store.errors import StoreError
@@ -562,25 +560,27 @@ class Frontend:
     def _evaluate_transfer(
         self, matrix: SparseMatrix, token: Tuple, graph: OperatorGraph
     ):
-        """Build + run + numerically verify one transplanted design.
+        """Measure one transplanted design on the new matrix.
 
-        A donor graph is a full candidate (structure + parameters); it may
-        simply not apply to the new matrix — every such failure means
-        falling through to the search tier, never an error."""
+        A donor graph is a full candidate (structure + parameters), so it
+        is measured exactly like the engine's warm-start donor: one empty
+        assignment of a lock-free proposal.  It may simply not apply to
+        the new matrix — any error, or no positive GFLOPS, means falling
+        through to the search tier, never an error."""
         x = self.workload.make_operand(matrix)
         reference = self.workload.reference(matrix, x)
-        try:
-            program = self.engine.evaluator.build(
-                matrix, graph, token=self.workload.scope_token(token)
-            )
-            result = program.run(x, self.gpu, workload=self.workload)
-        except (DesignError, BuildError, PlanValidationError, GraphValidationError):
+        [(gflops, program, error)] = self.engine.batch.evaluate_group(
+            matrix,
+            SampledStructure(graph=graph, locks={}),
+            [{}],
+            self.workload.scope_token(token),
+            x,
+            reference,
+            content_digest(x, reference),
+        )
+        if error or gflops <= 0.0:
             return None
-        if not self.workload.allclose(result.y, reference):
-            return None
-        if result.gflops <= 0.0:
-            return None
-        return float(result.gflops), program
+        return gflops, program
 
     # ------------------------------------------------------------------
     # Tier 3: bounded fresh search (serial across a batch; each search

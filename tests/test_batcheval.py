@@ -3,11 +3,12 @@
 Acceptance bars (vectorized hot loop PR):
 
 * batched evaluation is a *pure optimisation*: search histories are
-  byte-identical across batch on/off x jobs 1/4 x store on/off — every
-  combination reproduces the golden digest captured from the seed
-  revision's per-candidate loop;
-* property-based differential: batch-on and batch-off searches agree
-  candidate-for-candidate over random matrices (hypothesis);
+  byte-identical across batched / per-candidate oracle x jobs 1/4 x store
+  on/off — every combination reproduces the golden digest captured from
+  the seed revision's per-candidate loop;
+* property-based differential: batched searches agree with the
+  per-candidate oracle (``candidate_oracle``) candidate-for-candidate over
+  random matrices (hypothesis);
 * cross-matrix warm starts: a stored winner seeds the candidate stream
   as an iteration-0 candidate, an empty store degrades to an exactly
   cold search, and the corpus runner pins its config/record keys only
@@ -27,6 +28,8 @@ from repro.search.evaluation import matrix_token
 from repro.sparse import SparseMatrix, corpus
 from repro.store import DesignStore, search_result_record
 
+from candidate_oracle import use_oracle
+
 # Same golden history digest as tests/test_workloads.py: a 96-eval
 # seed-0 search of @2D_27628_bjtcai, captured from the pre-batching
 # per-candidate loop.
@@ -44,10 +47,11 @@ def _identities(result):
 
 
 # ---------------------------------------------------------------------------
-# Byte-identity: batch on/off x jobs 1/4 x store on/off
+# Byte-identity: batched/oracle x jobs 1/4 x store on/off
 # ---------------------------------------------------------------------------
 
 class TestBatchedHistoryIdentity:
+    #: ``batch=False`` routes the engine through the per-candidate oracle
     @pytest.mark.parametrize("batch", [True, False])
     @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize("with_store", [True, False])
@@ -64,8 +68,9 @@ class TestBatchedHistoryIdentity:
             budget=SearchBudget(max_total_evals=96, jobs=jobs),
             seed=0,
             store=store,
-            enable_batch_eval=batch,
         ) as engine:
+            if not batch:
+                use_oracle(engine)
             result = engine.search(named_matrix(GOLDEN_MATRIX))
         assert _history_digest(result) == GOLDEN_HISTORY_DIGEST, (
             f"search history diverged (batch={batch}, jobs={jobs}, "
@@ -84,30 +89,9 @@ class TestBatchedHistoryIdentity:
         assert times.get("assembly", 0.0) == 0.0
         assert times.get("analysis", 0.0) == 0.0
 
-    def test_cache_off_falls_back_to_per_candidate_path(self):
-        """Ablating either cache disables batching (counters keep their
-        historical per-candidate meaning) — histories still agree."""
-        results = {}
-        for name, kwargs in {
-            "batched": {},
-            "no_design_cache": {"enable_design_cache": False},
-            "no_analysis_cache": {"enable_analysis_cache": False},
-        }.items():
-            with SearchEngine(
-                A100,
-                budget=SearchBudget(max_total_evals=24),
-                seed=0,
-                **kwargs,
-            ) as engine:
-                assert (engine.batch is not None) == (name == "batched")
-                results[name] = engine.search(named_matrix(GOLDEN_MATRIX))
-        ids = _identities(results["batched"])
-        assert _identities(results["no_design_cache"]) == ids
-        assert _identities(results["no_analysis_cache"]) == ids
-
 
 # ---------------------------------------------------------------------------
-# Property-based differential: batch on vs off over random matrices
+# Property-based differential: batched vs oracle over random matrices
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -118,8 +102,8 @@ def small_matrices(draw, max_dim=20, max_nnz=48):
     rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=nnz, max_size=nnz))
     cols = draw(st.lists(st.integers(0, n_cols - 1), min_size=nnz, max_size=nnz))
     # Strictly positive values: a matrix whose entries compress away to
-    # zero nnz crashes the builder on both evaluation paths (pre-existing
-    # degenerate-input behaviour, out of scope here).
+    # zero nnz crashes the builder on both the batched evaluator and the
+    # oracle (pre-existing degenerate-input behaviour, out of scope here).
     vals = draw(
         st.lists(st.floats(0.5, 8.0), min_size=nnz, max_size=nnz)
     )
@@ -132,11 +116,10 @@ def test_property_batched_equals_per_candidate(matrix, seed):
     results = []
     for batch in (True, False):
         with SearchEngine(
-            A100,
-            budget=SearchBudget(max_total_evals=16),
-            seed=0,
-            enable_batch_eval=batch,
+            A100, budget=SearchBudget(max_total_evals=16), seed=0
         ) as engine:
+            if not batch:
+                use_oracle(engine)
             results.append(engine.search(matrix, seed=seed))
     batched, serial = results
     assert _identities(batched) == _identities(serial)

@@ -74,6 +74,39 @@ class TestSearch:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "spec,reason",
+        [
+            ("banded-768", "No such file or directory"),
+            ("@nonexistent", "unknown matrix 'nonexistent'"),
+        ],
+        ids=["missing-file", "unknown-name"],
+    )
+    def test_bad_matrix_spec_exits_cleanly(self, spec, reason, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", spec, "--evals", "4"])
+        assert exit_info.value.code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot load matrix {spec!r}: ")
+        assert reason in lines[0]
+
+    def test_malformed_matrix_file_exits_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "bad.mtx"
+        path.write_text("not a matrix\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stats", str(path)])
+        assert exit_info.value.code == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: cannot load matrix ")
+        assert "MatrixMarket header" in out
+
+    def test_profile_lists_live_stages(self, capsys):
+        assert main(["search", "@scfxm1-2r", "--evals", "8", "--profile"]) == 0
+        out = capsys.readouterr().out
+        stages = [line.split()[0] for line in out.splitlines() if line.strip()]
+        assert "batch_cost" in stages and "analysis" not in stages
+
     def test_unknown_gpu_fails(self, mtx_file):
         with pytest.raises(KeyError):
             main(["search", mtx_file, "--gpu", "H100", "--evals", "4"])

@@ -5,8 +5,8 @@ Three acceptance bars:
 * the bincount / boundary-diff statistics must equal the seed's sort-based
   ``np.unique`` implementations exactly (randomised property tests,
   including a full reference reimplementation of the old reduction walk);
-* search histories must be byte-identical with the leaf-analysis cache on
-  or off and for any worker count;
+* search histories must be byte-identical to the uncached per-candidate
+  oracle (``candidate_oracle``) for any worker count;
 * numeric verification (``spmv_allclose``) must run once per design, not
   once per candidate.
 """
@@ -37,6 +37,8 @@ from repro.gpu.memory import unique_column_count
 from repro.search import SearchBudget, SearchEngine
 from repro.search.evaluation import StagedEvaluator
 from repro.sparse import SparseMatrix, power_law_matrix
+
+from candidate_oracle import use_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +295,7 @@ class TestAnalysisBackedEquivalence:
         graph = OperatorGraph.from_names(self.GRAPH)
         builder = KernelBuilder()
         plain = builder.build(small_irregular, graph)
-        evaluator = StagedEvaluator(builder, analysis=LeafAnalysisCache())
+        evaluator = StagedEvaluator(builder)
         analysed = evaluator.build(small_irregular, graph)
         x = x_for(small_irregular)
         for unit_p, unit_a in zip(plain.kernels, analysed.kernels):
@@ -310,7 +312,7 @@ class TestAnalysisBackedEquivalence:
 
     def test_cached_y_is_shared_and_readonly(self, small_irregular, x_for):
         graph = OperatorGraph.from_names(self.GRAPH)
-        evaluator = StagedEvaluator(KernelBuilder(), analysis=LeafAnalysisCache())
+        evaluator = StagedEvaluator(KernelBuilder())
         x = x_for(small_irregular)
         first = evaluator.build(small_irregular, graph)
         second = evaluator.build(small_irregular, graph)
@@ -329,8 +331,8 @@ SMALL_BUDGET = SearchBudget(
 )
 
 
-def _engine(jobs=1, analysis=True, cache=True):
-    return SearchEngine(
+def _engine(jobs=1, oracle=False):
+    engine = SearchEngine(
         A100,
         budget=SearchBudget(
             max_structures=SMALL_BUDGET.max_structures,
@@ -340,9 +342,8 @@ def _engine(jobs=1, analysis=True, cache=True):
             jobs=jobs,
         ),
         seed=3,
-        enable_design_cache=cache,
-        enable_analysis_cache=analysis,
     )
+    return use_oracle(engine) if oracle else engine
 
 
 def _history_tuple(result):
@@ -356,15 +357,17 @@ class TestSearchIdentity:
 
     @pytest.fixture(scope="class")
     def baseline(self, matrix):
-        return _engine(analysis=False).search(matrix)
+        return _engine().search(matrix)
 
+    #: ``oracle`` measures every candidate uncached — no design cache and
+    #: no leaf-analysis cache.
     @pytest.mark.parametrize(
-        "jobs,analysis,cache",
-        [(1, True, True), (4, True, True), (1, True, False), (4, True, False)],
+        "jobs,oracle",
+        [(1, False), (4, False), (1, True), (4, True)],
         ids=["serial", "jobs4", "serial-nodesigncache", "jobs4-nodesigncache"],
     )
-    def test_histories_byte_identical(self, matrix, baseline, jobs, analysis, cache):
-        with _engine(jobs=jobs, analysis=analysis, cache=cache) as engine:
+    def test_histories_byte_identical(self, matrix, baseline, jobs, oracle):
+        with _engine(jobs=jobs, oracle=oracle) as engine:
             result = engine.search(matrix)
         assert result.best_gflops == baseline.best_gflops
         assert _history_tuple(result) == _history_tuple(baseline)
@@ -379,9 +382,6 @@ class TestSearchIdentity:
             result.analysis_cache_hits + result.analysis_cache_misses
             <= result.total_evaluations
         )
-        off = _engine(analysis=False).search(matrix)
-        assert off.analysis_cache_hits == 0
-        assert off.analysis_cache_misses == 0
 
     def test_stage_times_recorded(self, matrix):
         result = _engine().search(matrix)
@@ -390,11 +390,6 @@ class TestSearchIdentity:
         for stage in ("design", "batch_assembly", "batch_cost", "verify"):
             assert result.stage_times.get(stage, 0.0) > 0.0
         assert sum(result.stage_times.values()) <= result.wall_time_s * 1.5
-
-    def test_stage_times_recorded_legacy_path(self, matrix):
-        result = _engine(cache=False).search(matrix)
-        for stage in ("design", "assembly", "analysis", "verify"):
-            assert result.stage_times.get(stage, 0.0) > 0.0
 
     def test_verification_runs_once_per_design(self, matrix, monkeypatch):
         # The engine verifies through the workload's allclose, which
@@ -538,7 +533,7 @@ class TestLeafAnalysisCache:
         builder = KernelBuilder()
         with pytest.raises(DesignError) as plain:
             builder.build(small_regular, graph)
-        evaluator = StagedEvaluator(builder, analysis=LeafAnalysisCache())
+        evaluator = StagedEvaluator(builder)
         for _ in range(2):  # second raise comes from the unit cache
             with pytest.raises(DesignError) as cached:
                 evaluator.build(small_regular, graph)

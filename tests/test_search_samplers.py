@@ -263,7 +263,8 @@ class TestSuccessiveHalving:
         candidate (the hypothesis property above).  So at an equal
         full-measurement budget the pruned run — which stretches the same
         budget across strictly more batches — must end at least as good as
-        measuring everything."""
+        measuring everything (a pruner whose survivor floor no batch
+        exceeds)."""
         matrix = power_law_matrix(384, avg_degree=6, seed=2, name="pl-384")
         results = {}
         for pruning in (True, False):
@@ -273,8 +274,9 @@ class TestSuccessiveHalving:
                 seed=0,
                 sampler="qmc",
                 sampler_seed=3,
-                enable_sampler_pruning=pruning,
             )
+            if not pruning:
+                engine.sh_pruner = SuccessiveHalvingPruner(min_survivors=10**6)
             try:
                 results[pruning] = engine.search(matrix)
             finally:

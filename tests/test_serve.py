@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.kernel.builder import build_program
 from repro.gpu import A100
 from repro.search import SearchBudget
 from repro.search.evaluation import matrix_token
@@ -75,11 +76,40 @@ class TestTiers:
             assert response.source == "neighbour"
             program_payload = response.artifact
             assert program_payload["matrix_name"] == "b"
-            # re-evaluate the same graph directly
-            program = fe.engine.evaluator.build(MATRIX_B, response.graph)
+            # re-evaluate the same graph directly, with no cache involved
+            program = build_program(MATRIX_B, response.graph)
             x = np.random.default_rng(0x5EED).random(MATRIX_B.n_cols)
             rerun = program.run(x, A100)
-            assert rerun.gflops == pytest.approx(response.gflops)
+            assert rerun.gflops == response.gflops
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [(0.0, None, "BuildError: injected"), (0.0, None, "")],
+        ids=["error", "zero-gflops"],
+    )
+    def test_failed_transfer_falls_through_to_search(
+        self, store, monkeypatch, outcome
+    ):
+        """A donor that does not measure on the new matrix is no answer:
+        the request goes on to the search tier instead of raising."""
+        with frontend(store) as fe:
+            fe.resolve(MATRIX_A)
+            batch = fe.engine.batch
+            real = batch.evaluate_group
+            calls = []
+
+            def first_call_fails(*args, **kwargs):
+                calls.append(args[2])
+                if len(calls) == 1:  # the neighbour transfer
+                    return [outcome]
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(batch, "evaluate_group", first_call_fails)
+            response = fe.resolve(MATRIX_B)
+            assert calls[0] == [{}]  # the donor, measured as one candidate
+            assert response.source == "search" and response.ok
+            assert fe.stats().neighbour_hits == 0
+            assert fe.stats().searches == 2
 
     def test_miss_when_budget_finds_nothing(self, store):
         empty_budget = SearchBudget(max_structures=1, max_total_evals=0)
