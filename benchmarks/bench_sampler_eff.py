@@ -45,7 +45,7 @@ from repro.gpu import A100
 from repro.search import SearchBudget, SearchEngine
 from repro.search.evaluation import matrix_token
 from repro.sparse import banded_matrix, lp_like_matrix, power_law_matrix
-from repro.store import DesignStore, search_result_record
+from repro.store import JournalStore, search_result_record
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_samplers.json")
 
@@ -145,7 +145,7 @@ def _sequential_search(workload: str, warm: bool):
     (the corpus-runner ``--warm-start`` behaviour, measured directly)."""
     results = []
     with tempfile.TemporaryDirectory() as tmp:
-        store = DesignStore(os.path.join(tmp, "store")) if warm else None
+        store = JournalStore(os.path.join(tmp, "store")) if warm else None
         engine = SearchEngine(
             A100,
             budget=SearchBudget(),

@@ -1,7 +1,7 @@
 """Record serving throughput and latency, with and without injected faults.
 
 Drives the supervised resolver pool (``repro.serve.pool``) over a
-journal-backend store through four scenarios —
+journal store through four scenarios —
 
 * ``cold``         — no faults, empty store; every request is a fresh
                      search (search-tier latency)
@@ -108,7 +108,7 @@ def _latency_summary(responses):
 def _prime_store(store_path: str, matrices) -> None:
     """Persist results for ``matrices`` so they serve as exact hits (and
     as neighbour donors for the rest of the request set)."""
-    store = open_store(store_path, backend="journal")
+    store = open_store(store_path)
     with Frontend(GPU, store, budget=BUDGET) as frontend:
         frontend.resolve_batch(matrices)
     store.gc()  # clear the priming run's search claims
@@ -120,7 +120,6 @@ def _run_pool(store_path, matrices, faults=None, max_tier=None):
         GPU,
         store_path,
         workers=WORKERS,
-        backend="journal",
         budget=BUDGET,
         deadline_s=DEADLINE_S,
         faults=faults,
@@ -240,7 +239,7 @@ def main() -> int:
             "degraded", responses, wall, stats
         )
 
-        frontend_store = open_store(fresh_copy("frontend"), backend="journal")
+        frontend_store = open_store(fresh_copy("frontend"))
         with Frontend(GPU, frontend_store, budget=BUDGET) as frontend:
             start = time.perf_counter()
             responses = frontend.resolve_batch(matrices)

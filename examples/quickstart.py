@@ -23,7 +23,7 @@ from repro import (
     named_matrix,
     read_matrix_market,
 )
-from repro.store import DesignStore
+from repro.store import JournalStore
 
 
 def main() -> None:
@@ -80,17 +80,17 @@ def main() -> None:
           f"{spmm_result.best_gflops:.1f} GFLOPS (verified against A @ X)")
 
     # --- store-backed re-search: the one-time search is reusable --------
-    # Persisting designs to a DesignStore means a *new* engine — think a
+    # Persisting designs to a JournalStore means a *new* engine — think a
     # new process, hours later — warm-starts from disk: zero Designer
     # runs, byte-identical result.  (`python -m repro serve` answers
     # requests straight from such a store.)
     with tempfile.TemporaryDirectory() as store_dir:
         budget = SearchBudget(max_total_evals=160)
         with SearchEngine(A100, budget=budget,
-                          store=DesignStore(store_dir)) as warmup:
+                          store=JournalStore(store_dir)) as warmup:
             warmup.search(matrix)
         with SearchEngine(A100, budget=budget,
-                          store=DesignStore(store_dir)) as warmed:
+                          store=JournalStore(store_dir)) as warmed:
             again = warmed.search(matrix)
         print(f"\nstore-backed re-search: {again.designer_runs} Designer "
               f"runs ({again.store_hits} designs loaded from the store), "

@@ -46,7 +46,7 @@ from repro.baselines import (
     SOTA_FORMATS,
     PFS_MEMBERS,
 )
-from repro.store import DesignStore
+from repro.store import JournalStore
 from repro.serve import Frontend
 from repro.workloads import WORKLOADS, Workload, get_workload
 
@@ -79,7 +79,7 @@ __all__ = [
     "get_baseline",
     "SOTA_FORMATS",
     "PFS_MEMBERS",
-    "DesignStore",
+    "JournalStore",
     "Frontend",
     "WORKLOADS",
     "Workload",

@@ -13,7 +13,10 @@ matrix collection with the staged evaluation runtime underneath:
   the same measurements instead of re-running the member kernels);
 * every finished matrix is flushed to the
   :class:`~repro.bench.store.ResultStore`, so an interrupted run resumes
-  without re-measuring completed matrices.
+  without re-measuring completed matrices;
+* with a ``design_store``, designs and each winning result also go to
+  the design store (:class:`~repro.store.journal.JournalStore`) — the
+  same store ``search``, ``serve`` and ``check`` open.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.search.evaluation import matrix_token
 from repro.search.samplers import DEFAULT_SAMPLER_NAME
 from repro.sparse.collection import CorpusEntry
 from repro.sparse.matrix import SparseMatrix
-from repro.store.design import DesignStore
+from repro.store.journal import JournalStore
 from repro.store.records import search_result_record
 from repro.workloads import Workload, ensure_engine_workload
 
@@ -73,7 +76,7 @@ class CorpusRunner:
     is the caller's to close.
 
     ``design_store`` additionally persists every search to a
-    :class:`~repro.store.design.DesignStore`: designs are written through
+    :class:`~repro.store.journal.JournalStore`: designs are written through
     the engine (warm-starting later runs) and each matrix's winning
     result+artifact is recorded, so a corpus run doubles as a serving
     warm-up.  The store never changes what is measured — records stay
@@ -89,7 +92,7 @@ class CorpusRunner:
         baselines: Optional[Sequence[str]] = None,
         engine: Optional[SearchEngine] = None,
         progress: Optional[Callable[[str], None]] = None,
-        design_store: Optional[DesignStore] = None,
+        design_store: Optional[JournalStore] = None,
         workload: Optional[Workload] = None,
         static_pruning: bool = True,
         warm_start: bool = False,

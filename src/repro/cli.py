@@ -19,9 +19,10 @@ Commands::
                           [--warm-start]
     python -m repro serve <matrix.mtx | @named> [more ...] --store DIR
                           [--gpu A100] [--evals N] [--jobs N]
-                          [--workers N] [--backend auto|dir|journal]
-                          [--deadline S] [--workload NAME] [--out DIR]
+                          [--workers N] [--deadline S] [--workload NAME]
+                          [--out DIR]
     python -m repro store {ls | gc | verify | compact} DIR [--repair]
+    python -m repro store migrate OLD NEW
     python -m repro check [--store DIR] [--matrix SPEC] [--workload NAME]
                           [--samples N] [--seed S]
     python -m repro stats <matrix.mtx | @named>
@@ -37,20 +38,24 @@ PATH`` persists per-matrix results incrementally so an interrupted run
 picks up where it stopped.  ``@corpus:N`` expands to the first N matrices
 of the built-in deterministic corpus (``@corpus:K-N`` for a shard).
 
-``--store DIR`` (search/bench) persists designs and results to an
-on-disk :class:`~repro.store.design.DesignStore`: a later search of the
+``--store DIR`` (search/bench/serve) persists designs and results to an
+on-disk :class:`~repro.store.journal.JournalStore`: a later search of the
 same matrix — even in a new process — warm-starts with zero Designer
-runs.  ``--warm-start`` additionally seeds each search's candidate
-stream with the store's nearest-neighbour *winning* design (cross-matrix
-transfer — a corpus run's earlier matrices warm-start its later ones).
+runs.  Every command opens the same store format, so one store serves
+search, bench, serve, check and store maintenance alike.
+``--warm-start`` additionally seeds each search's candidate stream with
+the store's nearest-neighbour *winning* design (cross-matrix transfer —
+a corpus run's earlier matrices warm-start its later ones).
 ``serve`` answers requests store-first (exact hit → feature
 nearest-neighbour transfer → bounded fresh search); with ``--workers N``
 it serves through a supervised multi-process resolver pool (crashed
 workers restart, deadline-blown requests degrade tier-by-tier, every
 request gets an answer).  ``store ls/gc/verify/compact`` inspect, prune,
 integrity-check (``verify --repair`` quarantines damage) and compact a
-store directory; ``--backend journal`` selects the crash-safe
-append-only store backend built for multi-process serving.
+store directory; ``store migrate OLD NEW`` converts a store in the
+retired one-file-per-entry layout (read-only on OLD).  A ``--store``
+path that is not a usable store ends the command with one ``error:``
+line and exit 2.
 
 ``check`` runs the static verifier against the search space: it samples
 candidate designs, compares the chain analysis's verdicts against the
@@ -87,7 +92,13 @@ from repro.sparse import NAMED_MATRICES, corpus, named_matrix, read_matrix_marke
 from repro.sparse.io import MatrixMarketError
 from repro.sparse.matrix import SparseMatrix
 from repro.staticcheck import Severity, Verdict, analyze_design, audit_store
-from repro.store import DesignStore, StoreError, search_result_record
+from repro.store import (
+    JournalStore,
+    StoreError,
+    migrate_store,
+    open_store,
+    search_result_record,
+)
 from repro.workloads import WORKLOADS, Workload, get_workload
 
 __all__ = ["main"]
@@ -108,6 +119,26 @@ def _load_matrix(spec: str) -> SparseMatrix:
         reason = str(exc)
     print(f"error: cannot load matrix {spec!r}: {reason}")
     raise SystemExit(2)
+
+
+def _open_store(path: str) -> JournalStore:
+    """The design store at ``path`` (created if absent); a path that is
+    not a usable store ends the command with one ``error:`` line and
+    exit 2."""
+    try:
+        return open_store(path)
+    except StoreError as exc:
+        print(f"error: {exc}")
+        raise SystemExit(2)
+
+
+def _gpu_arg(value: str):
+    """argparse type for ``--gpu``: an unknown preset is a usage error
+    naming the presets instead of a KeyError traceback."""
+    try:
+        return gpu_by_name(value)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
 def _workload_arg(value: str) -> Workload:
@@ -160,8 +191,8 @@ def _sampler_seed_arg(value: str) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     specs: List[str] = args.matrix
     matrices = [_load_matrix(spec) for spec in specs]
-    gpu = gpu_by_name(args.gpu)
-    store = DesignStore(args.store) if args.store else None
+    gpu = args.gpu
+    store = _open_store(args.store) if args.store else None
     if args.warm_start and store is None:
         raise SystemExit("--warm-start requires --store DIR")
     engine = SearchEngine(
@@ -339,9 +370,9 @@ def _expand_bench_specs(specs: List[str]) -> List[object]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     matrices = _expand_bench_specs(args.matrix)
-    gpu = gpu_by_name(args.gpu)
+    gpu = args.gpu
     store = ResultStore(args.resume)
-    design_store = DesignStore(args.store) if args.store else None
+    design_store = _open_store(args.store) if args.store else None
     if args.warm_start and design_store is None:
         raise SystemExit("--warm-start requires --store DIR")
     runner = CorpusRunner(
@@ -384,18 +415,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.serve import ResolverPool
-    from repro.store import open_store
 
     matrices = [_load_matrix(spec) for spec in args.matrix]
-    gpu = gpu_by_name(args.gpu)
+    gpu = args.gpu
+    store = _open_store(args.store)
     budget = dataclasses.replace(
         default_serve_budget(jobs=args.jobs), max_total_evals=args.evals
     )
     summary = ""
     if args.workers > 0:
         with ResolverPool(gpu, args.store, workers=args.workers,
-                          backend=args.backend, budget=budget,
-                          seed=args.seed, workload=args.workload.name,
+                          budget=budget, seed=args.seed,
+                          workload=args.workload.name,
                           deadline_s=args.deadline) as pool:
             responses = pool.resolve_batch(matrices)
             pstats = pool.stats()
@@ -404,7 +435,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    f"{pstats.restarts} restarts / "
                    f"{pstats.degraded} degraded")
     else:
-        store = open_store(args.store, backend=args.backend)
         with Frontend(gpu, store, budget=budget, seed=args.seed,
                       jobs=args.jobs, workload=args.workload) as frontend:
             responses = frontend.resolve_batch(matrices)
@@ -455,19 +485,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     """Maintenance subcommands over one store directory
-    (ls/gc/verify/compact), backend-dispatched via ``open_store``."""
-    from repro.store import open_store
-
+    (ls/gc/verify/compact), plus ``migrate OLD NEW``."""
+    if (args.action == "migrate") != (args.new is not None):
+        print("error: store migrate takes OLD NEW; the other actions one DIR")
+        return 2
+    if args.action == "migrate":
+        try:
+            migrated, skipped = migrate_store(args.path, args.new)
+        except StoreError as exc:
+            print(f"error: {exc}")
+            return 2
+        for name, reason in skipped:
+            print(f"skipped corrupt entry {name}: {reason}")
+        print(f"migrated {len(migrated)} entries from {args.path} to "
+              f"{args.new}; {len(skipped)} corrupt entries skipped")
+        return 1 if skipped else 0
     try:
         store = open_store(args.path, create=False)
     except StoreError as exc:
         print(f"error: {exc}")
         return 2
     if args.action == "compact":
-        if not hasattr(store, "compact"):
-            print("error: only journal-backend stores compact; this store "
-                  "uses the directory backend")
-            return 2
         info = store.compact()
         print(f"compacted to epoch {info['epoch']}: {info['designs']} designs"
               f" + {info['results']} results + {info['claims']} claims in "
@@ -493,7 +531,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             print(f"CORRUPT {status.kind}/{status.filename}: {status.detail}")
         print(f"verified {len(statuses)} entries: "
               f"{len(statuses) - len(bad)} ok, {len(bad)} corrupt")
-        if args.repair and getattr(store, "quarantine_log", None):
+        if args.repair:
             for name, reason in store.quarantine_log:
                 print(f"quarantined {name}: {reason}")
         return 1 if bad else 0
@@ -637,7 +675,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     """Static verifier entry point: store audit or space self-check."""
     if args.store:
         try:
-            store = DesignStore(args.store, create=False)
+            store = open_store(args.store, create=False)
         except StoreError as exc:
             print(f"error: {exc}")
             return 2
@@ -662,7 +700,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_baselines(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.matrix)
-    gpu = gpu_by_name(args.gpu)
+    gpu = args.gpu
     workload = args.workload
     x = workload.make_operand(matrix, seed=0)
     reference = workload.reference(matrix, x)
@@ -749,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", nargs="+",
                    help="Matrix Market path(s) or @named-matrix(es); several "
                         "matrices share one engine, cache and worker pool")
-    p.add_argument("--gpu", default="A100")
+    p.add_argument("--gpu", type=_gpu_arg, default="A100")
     p.add_argument("--evals", type=int, default=200,
                    help="max program evaluations")
     p.add_argument("--jobs", type=_jobs_arg, default=1,
@@ -802,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", nargs="+",
                    help="Matrix Market path(s), @named-matrix(es), or "
                         "@corpus:N / @corpus:K-N corpus slices")
-    p.add_argument("--gpu", default="A100")
+    p.add_argument("--gpu", type=_gpu_arg, default="A100")
     p.add_argument("--evals", type=int, default=160,
                    help="max search evaluations per matrix")
     p.add_argument("--jobs", type=_jobs_arg, default=1,
@@ -837,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Matrix Market path(s) or @named-matrix(es)")
     p.add_argument("--store", required=True, metavar="DIR",
                    help="design-store directory backing the frontend")
-    p.add_argument("--gpu", default="A100")
+    p.add_argument("--gpu", type=_gpu_arg, default="A100")
     p.add_argument("--evals", type=int, default=96,
                    help="evaluation budget of the bounded fallback search")
     p.add_argument("--jobs", type=_jobs_arg, default=1,
@@ -855,11 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "resolver processes (crash restart, deadlines, "
                         "graceful degradation); 0: in-process frontend "
                         "(default)")
-    p.add_argument("--backend", choices=("auto", "dir", "journal"),
-                   default="auto",
-                   help="store backend: auto reads the existing header "
-                        "(new stores default to dir); journal is the "
-                        "crash-safe multi-writer log")
     p.add_argument("--deadline", type=float, default=30.0, metavar="S",
                    help="per-request wall-clock deadline under --workers; "
                         "a worker past it is killed and the request "
@@ -871,20 +904,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "store",
         help="inspect or maintain a design store "
-             "(ls / gc / verify / compact)",
+             "(ls / gc / verify / compact / migrate)",
     )
-    p.add_argument("action", choices=("ls", "gc", "verify", "compact"),
+    p.add_argument("action",
+                   choices=("ls", "gc", "verify", "compact", "migrate"),
                    help="ls: list entries; gc: prune corrupt + "
                         "unreferenced entries; verify: integrity-check "
                         "every entry (exit 1 on corruption); compact: "
-                        "fold a journal-backend store into a snapshot "
-                        "and reset its log")
-    p.add_argument("path", help="design-store directory")
+                        "fold the journal into a snapshot and reset its "
+                        "log; migrate: copy a retired directory-layout "
+                        "store into a new journal store (exit 1 if "
+                        "corrupt entries were skipped)")
+    p.add_argument("path", help="design-store directory (OLD for migrate)")
+    p.add_argument("new", nargs="?", default=None,
+                   help="migrate only: the journal store to write")
     p.add_argument("--repair", action="store_true",
-                   help="with verify: quarantine every failing entry "
-                        "(directory backend moves files to corrupt/; "
-                        "journal backend drops the records and compacts "
-                        "away framing damage)")
+                   help="with verify: drop every failing entry and "
+                        "compact away framing damage")
     p.set_defaults(func=_cmd_store)
 
     p = sub.add_parser(
@@ -912,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baselines", help="measure every baseline format")
     p.add_argument("matrix")
-    p.add_argument("--gpu", default="A100")
+    p.add_argument("--gpu", type=_gpu_arg, default="A100")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
                    help="operation to measure: "

@@ -89,11 +89,11 @@ STORE_CORRUPT_ENTRY = "STORE-CORRUPT-ENTRY"
 STORE_BAD_GRAPH = "STORE-BAD-GRAPH"
 STORE_UNKNOWN_OPERATOR = "STORE-UNKNOWN-OPERATOR"
 STORE_BAD_WORKLOAD = "STORE-BAD-WORKLOAD"
-#: a corrupt entry was moved aside to the store's ``corrupt/`` sibling dir
-#: (first detection on a read path, or ``store verify --repair``) — the
-#: store stops retrying it and a rewrite of the key heals cleanly
+#: a corrupt entry was dropped from the store by a ``drop`` record (first
+#: detection on a read path, or ``store verify --repair``) — the store
+#: stops retrying it and a rewrite of the key heals cleanly
 STORE_QUARANTINED = "STORE-QUARANTINED"
-#: a journal-backend store lost records after a mid-log framing corruption
+#: a journal store lost records after a mid-log framing corruption
 #: (everything before the damage replays; compaction reclaims the file)
 STORE_TAIL_LOST = "STORE-TAIL-LOST"
 

@@ -14,7 +14,7 @@ artifact *inline*:
     The artifact as one JSON-safe dict — sources, launch geometry,
     operator provenance and format arrays (bit-exact base64 encoding,
     compressed arrays as their closed-form model).  This is what a
-    :class:`~repro.store.design.DesignStore` result entry carries, so the
+    :class:`~repro.store.journal.JournalStore` result entry carries, so the
     serving frontend can hand back a complete artifact without rebuilding
     the program.
 

@@ -150,6 +150,16 @@ class LeafAnalysis:
         self._y: Dict[str, Tuple] = {}
         self._x_memo: Optional[Tuple[np.ndarray, str]] = None
 
+    def clear(self) -> None:
+        """Empty every memo.  Memoized plans point back here through
+        ``plan.analysis``; clearing breaks that cycle so the arrays are
+        freed without waiting for a cyclic garbage collection."""
+        with self.lock:
+            for memo in (self._scalars, self._arrays, self._dist,
+                         self._pairs, self._cost, self._units, self._y):
+                memo.clear()
+            self._x_memo = None
+
     # -- generic memo helpers -------------------------------------------
     def cached_array(
         self, name: object, compute: Callable[[], np.ndarray]
@@ -381,7 +391,12 @@ class LeafAnalysisCache:
             return len(self._entries)
 
     def clear(self) -> None:
+        """Drop every analysis, emptying each leaf's memos first (see
+        :meth:`LeafAnalysis.clear`)."""
         with self._lock:
+            for design in self._entries.values():
+                for leaf in design._leaves:
+                    leaf.clear()
             self._entries.clear()
 
     def for_design(self, key: Tuple) -> DesignAnalysis:

@@ -1,7 +1,7 @@
 """Reliability primitives: retry policy, fault injection, failure taxonomy.
 
 The serving stack's robustness story lives in three places — the journal
-storage backend (:mod:`repro.store.journal`), the supervised resolver
+design store (:mod:`repro.store.journal`), the supervised resolver
 pool (:mod:`repro.serve.pool`) and the tier-by-tier degradation path in
 :class:`repro.serve.Frontend` — but the *policies* they share live here:
 

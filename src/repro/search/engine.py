@@ -51,7 +51,7 @@ from repro.search.evaluation import (
     matrix_token,
 )
 from repro.search.mlmodel import GradientBoostedTrees, mean_absolute_deviation
-from repro.store.design import DesignStore
+from repro.store.journal import JournalStore
 from repro.store.errors import StoreError
 from repro.store.records import feature_vector, nearest_result_digest
 from repro.search.pruning import (
@@ -271,11 +271,11 @@ class SearchEngine:
         enable_seeding: bool = True,
         enable_static_pruning: bool = True,
         runtime: Optional[EvaluationRuntime] = None,
-        store: Optional[DesignStore] = None,
+        store: Optional[JournalStore] = None,
         workload: Optional[Workload] = None,
         sampler: Optional[object] = None,
         sampler_seed: Optional[int] = None,
-        warm_start_store: Optional[DesignStore] = None,
+        warm_start_store: Optional[JournalStore] = None,
     ) -> None:
         self.gpu = gpu
         self.budget = budget or SearchBudget()
@@ -339,10 +339,11 @@ class SearchEngine:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pool (no-op for serial engines and for
-        engines using an injected, caller-owned runtime)."""
+        """Shut down the worker pool (unless the runtime was injected and
+        so is the caller's) and free the leaf-analysis memos."""
         if self._owns_runtime:
             self.runtime.close()
+        self.evaluator.analysis.clear()
 
     def __enter__(self) -> "SearchEngine":
         return self

@@ -24,7 +24,7 @@ a first-class subsystem with three pieces:
     numeric verdict are computed once per leaf and shared by every
     candidate.  Per-stage wall time is accumulated in :attr:`timings`.
 
-    With ``store`` set (a :class:`~repro.store.design.DesignStore`) the
+    With ``store`` set (a :class:`~repro.store.journal.JournalStore`) the
     design phase becomes *read-through persistent*: a miss in the
     in-memory cache consults the store before running the Designer, and
     every Designer outcome — success or :class:`DesignError` — is written
@@ -61,7 +61,7 @@ from repro.gpu.arch import GPUSpec
 from repro.gpu.cost import CostModel
 from repro.gpu.executor import PlanValidationError, plan_cost_inputs
 from repro.sparse.matrix import SparseMatrix
-from repro.store.design import DesignStore
+from repro.store.journal import JournalStore
 
 __all__ = [
     "CacheStats",
@@ -244,7 +244,7 @@ class StagedEvaluator:
     def __init__(
         self,
         builder: KernelBuilder,
-        store: Optional[DesignStore] = None,
+        store: Optional[JournalStore] = None,
         arch: str = "",
     ) -> None:
         self.builder = builder

@@ -6,7 +6,7 @@ Paying a full search per request is only necessary for matrices nobody has
 seen before; the :class:`Frontend` resolves each request through three
 tiers, cheapest first:
 
-1. **Exact store hit** — the :class:`~repro.store.design.DesignStore`
+1. **Exact store hit** — the :class:`~repro.store.journal.JournalStore`
    already holds a finished result for this exact matrix content on this
    arch: answer straight from the stored artifact, zero computation.
 2. **Feature-signature nearest neighbour** — find the stored result whose
@@ -16,8 +16,9 @@ tiers, cheapest first:
    winning Operator Graph onto the new matrix and measure it (build, run
    and numerically verify) with the engine's batched evaluator — the call
    every search candidate goes through.  One candidate evaluation instead
-   of hundreds — and the transferred result is written back, so it
-   becomes an exact hit next time.
+   of hundreds — and the transferred result is written back (one journal
+   append, whose cost does not grow with the log), so it becomes an
+   exact hit next time.
 3. **Bounded fresh search** — fall back to a real (budget-capped) search
    through the store-backed engine; the result (and every design the
    search produced) is persisted for future requests.
@@ -62,7 +63,7 @@ from repro.search.engine import SearchBudget, SearchEngine
 from repro.search.evaluation import matrix_token
 from repro.search.space import SampledStructure
 from repro.sparse.matrix import SparseMatrix
-from repro.store.design import DesignStore
+from repro.store.journal import JournalStore
 from repro.store.errors import StoreError
 from repro.store.records import (
     feature_vector,
@@ -200,7 +201,7 @@ class Frontend:
     def __init__(
         self,
         gpu: GPUSpec,
-        store: DesignStore,
+        store: JournalStore,
         budget: Optional[SearchBudget] = None,
         seed: int = 0,
         jobs: int = 1,
@@ -542,9 +543,10 @@ class Frontend:
         """The stored result with the closest feature signature (excluding
         the matrix itself), deterministically tie-broken.
 
-        Ranking walks only the store's lightweight ``.meta`` sidecars —
-        O(results) small reads — and decodes the one chosen donor's full
-        record (artifact included) at the end.  The ranking rule itself is
+        Ranking walks only the store's lightweight per-result metadata
+        (:meth:`~repro.store.journal.JournalStore.result_metas`) and
+        fetches the one chosen donor's full record (artifact included) at
+        the end.  The ranking rule itself is
         :func:`repro.store.records.nearest_result_digest`, shared with the
         engine's cross-matrix warm start."""
         digest = nearest_result_digest(

@@ -7,7 +7,7 @@ mid-request, requests that hang past their deadline, a store that throws
 I/O errors.  The design:
 
 * **N resolver workers**, each a forked process owning its *own* store
-  handle (journal-backend file locking mediates the shared file) and its
+  handle (journal file locking mediates the shared file) and its
   own store-backed search engine.  Each worker talks to the supervisor
   over a **private duplex pipe** — deliberately *not* a shared queue:
   shared ``multiprocessing.Queue`` locks are held briefly by whichever
@@ -132,7 +132,6 @@ def _worker_main(
     worker_id: int,
     conn: Connection,
     store_path: str,
-    backend: str,
     gpu: GPUSpec,
     budget: SearchBudget,
     seed: int,
@@ -152,7 +151,7 @@ def _worker_main(
     """
     injector = faults.injector() if faults is not None else None
     try:
-        store = open_store(store_path, backend=backend, faults=faults)
+        store = open_store(store_path, faults=faults)
         frontend = Frontend(
             gpu,
             store,
@@ -263,7 +262,6 @@ class ResolverPool:
         gpu: GPUSpec,
         store_path: str | os.PathLike,
         workers: int = 2,
-        backend: str = "auto",
         budget: Optional[SearchBudget] = None,
         seed: int = 0,
         workload: str = DEFAULT_WORKLOAD_NAME,
@@ -276,7 +274,6 @@ class ResolverPool:
             raise ValueError("workers must be >= 1")
         self.gpu = gpu
         self.store_path = os.fspath(store_path)
-        self.backend = backend
         self.workers = workers
         self.budget = budget or default_serve_budget()
         self.seed = seed
@@ -290,7 +287,7 @@ class ResolverPool:
         )
         self.faults = faults
         # the store must exist before workers race to open it
-        open_store(self.store_path, backend=backend)
+        open_store(self.store_path)
         self._ctx = mp.get_context("fork")
         self._heartbeat = self._ctx.Array("d", [0.0] * workers)
         self._slots: List[_Slot] = [_Slot() for _ in range(workers)]
@@ -327,7 +324,6 @@ class ResolverPool:
                 worker_id,
                 child_conn,
                 self.store_path,
-                self.backend,
                 self.gpu,
                 self.budget,
                 self.seed,
@@ -376,7 +372,7 @@ class ResolverPool:
         opens its own store handle, *without* fault injection: the parent
         is the reliability backstop, not a chaos subject)."""
         if self._parent_frontend is None:
-            store = open_store(self.store_path, backend=self.backend)
+            store = open_store(self.store_path)
             self._parent_frontend = Frontend(
                 self.gpu,
                 store,

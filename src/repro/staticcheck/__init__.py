@@ -12,7 +12,7 @@ builder or the simulated GPU:
    undeclared identifiers, scatter stores that need atomics, suspicious
    index arithmetic, dead declarations, accumulator dtype mismatches.
 3. :func:`audit_store` — replay of both passes over persisted
-   :class:`~repro.store.design.DesignStore` entries, catching stale or
+   :class:`~repro.store.journal.JournalStore` entries, catching stale or
    corrupt artifacts (``python -m repro check --store``).
 """
 

@@ -1,4 +1,4 @@
-"""Static audit of a persisted :class:`~repro.store.design.DesignStore`.
+"""Static audit of a persisted :class:`~repro.store.journal.JournalStore`.
 
 The store outlives the code that wrote it, so this pass replays the other
 two static passes over everything it persisted: entry integrity (the
@@ -40,7 +40,7 @@ def _record_label(record: dict) -> str:
 
 
 def audit_store(store) -> List[Diagnostic]:
-    """Audit one open :class:`~repro.store.design.DesignStore`.
+    """Audit one open :class:`~repro.store.journal.JournalStore`.
 
     Returns every finding; callers treat :attr:`Severity.ERROR` entries as
     fatal (the CLI exits 1) and the rest as advisory.

@@ -1,7 +1,7 @@
 """Shared error types for the on-disk stores.
 
 Both persistence subsystems — the corpus :class:`~repro.bench.store.ResultStore`
-and the design :class:`~repro.store.design.DesignStore` — version their
+and the design :class:`~repro.store.journal.JournalStore` — version their
 on-disk schema.  A store written by an older (or newer) code revision must
 fail loudly and uniformly instead of surfacing as a ``KeyError`` deep inside
 aggregation or hydration, so the version failure is one shared exception

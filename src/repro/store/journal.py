@@ -1,11 +1,23 @@
-"""Crash-safe append-only journal backend for the design store.
+"""The design store: a crash-safe append-only journal.
 
-The directory backend (:class:`~repro.store.design.DesignStore`) gives
-per-entry atomicity via temp-file + ``os.replace`` — good enough for two
-cooperating engines, but every entry is its own file (directory churn at
-serving scale) and there is no total order of writes to recover or reason
-from.  The :class:`JournalStore` keeps the *same read/write surface* and
-replaces the layout with a single append-only log:
+A one-time AlphaSparse search yields a reusable machine-designed
+format+kernel per matrix, but every in-process cache dies with the
+process.  The :class:`JournalStore` turns search output into durable,
+content-addressed artifacts:
+
+**Design entries** persist Designer output keyed on
+``(matrix token, design signature, arch name)`` — exactly the in-memory
+:class:`~repro.search.evaluation.DesignCache` key plus the architecture —
+so a second search of the same matrix *in a different process* warm-starts
+from stored designs and performs zero Designer runs.  Failed designs
+(:class:`~repro.core.designer.DesignError`) are stored too; replaying the
+failure is as load-bearing for byte-identical histories as replaying a
+success.
+
+**Result entries** persist one finished search per ``(matrix, arch)``:
+the winning Operator Graph, its measured GFLOPS, the matrix's feature
+signature (nearest-neighbour serving) and the exported artifact payload
+(everything :func:`repro.export.export_program` writes, inline).
 
 Layout::
 
@@ -15,6 +27,12 @@ Layout::
     <root>/journal.lock    writer mutual exclusion (flock)
     <root>/snapshot.json   compacted state (absent until first compaction)
 
+A header without ``"backend": "journal"`` belongs to the retired
+one-file-per-entry layout; opening it raises
+:class:`~repro.store.errors.StoreVersionError`, and
+``python -m repro store migrate OLD NEW`` (:mod:`repro.store.migrate`)
+converts it.
+
 Journal format — a 16-byte header (``b"REPROJNL"`` magic + big-endian
 u64 *epoch*, bumped on every compaction) followed by records::
 
@@ -22,10 +40,9 @@ u64 *epoch*, bumped on every compaction) followed by records::
 
 where the payload is canonical JSON ``{"op": ..., "key": ..., "entry": ...}``
 (ops: ``design`` — first-writer-wins, ``result`` — last-writer-wins,
-``claim`` — at-most-once search fence, ``drop`` — journal-style quarantine
-of a damaged entry).  Entry documents are byte-identical to the directory
-backend's files (shared builders in :mod:`repro.store.design`), so the two
-backends hold bit-identical content for the same write sequence.
+``claim`` — at-most-once search fence, ``drop`` — quarantine of a damaged
+entry).  Entry documents come from :func:`design_entry_doc` /
+:func:`result_entry_doc` and carry a digest of their payload.
 
 Crash safety:
 
@@ -38,15 +55,17 @@ Crash safety:
   with bounded retries and deterministic backoff
   (:class:`~repro.reliability.retry.RetryPolicy`); exhaustion raises
   :class:`LockTimeoutError` instead of blocking forever.
-* **Compaction** — :meth:`compact` folds the current state into
-  ``snapshot.json`` (atomic replace) and resets the journal to an empty
-  log with a bumped epoch.  A crash between the two steps is safe: a
-  snapshot *newer* than the journal epoch means the journal's records are
-  already folded in and are ignored until recovery resets the file.
+* **Compaction** — :meth:`JournalStore.compact` folds the current state
+  into ``snapshot.json`` (atomic replace) and resets the journal to an
+  empty log with a bumped epoch.  A crash between the two steps is safe:
+  a snapshot *newer* than the journal epoch means the journal's records
+  are already folded in and are ignored until recovery resets the file.
 * **Read-through cache** — each handle keeps the replayed state in memory
-  and revalidates it against ``(epoch, journal size)`` per read: same
-  epoch + unchanged size is a pure cache hit, grown size replays only the
-  delta, anything else reloads snapshot + journal.
+  and revalidates it against ``(epoch, snapshot, journal size)`` before
+  every read and every append: unchanged is a pure cache hit, a grown log
+  replays only the new bytes, anything else reloads snapshot + journal.
+  Every record is CRC- and digest-checked once per handle, so appends
+  through a long-lived handle cost the same however long the log is.
 
 Damage inside a CRC-valid frame (payload digest mismatch — e.g. the
 ``corrupt_record`` fault) is skipped at replay without losing framing;
@@ -68,14 +87,6 @@ from repro.core.designer import DesignLeaf
 from repro.reliability.faults import FaultInjector, FaultPlan, InjectedCrash
 from repro.reliability.retry import RetryError, RetryPolicy, call_with_retry
 from repro.store.codec import decode_leaves, encode_leaves, key_digest, payload_digest
-from repro.store.design import (
-    SCHEMA_VERSION,
-    EntryStatus,
-    StoreStats,
-    design_entry_doc,
-    result_entry_doc,
-    result_meta_doc,
-)
 from repro.store.errors import StoreError, StoreVersionError
 
 try:  # posix writer locking; the fallback below covers exotic platforms
@@ -85,10 +96,18 @@ except ImportError:  # pragma: no cover - non-posix
 
 __all__ = [
     "JournalStore",
+    "EntryStatus",
+    "StoreStats",
     "LockContended",
     "LockTimeoutError",
+    "SCHEMA_VERSION",
     "default_lock_policy",
+    "design_entry_doc",
+    "result_entry_doc",
+    "result_meta_doc",
 ]
+
+SCHEMA_VERSION = 1
 
 _MAGIC = b"REPROJNL"
 _HEADER_SIZE = 16  # magic + u64 epoch
@@ -99,6 +118,104 @@ _JOURNAL = "journal.log"
 _LOCKFILE = "journal.lock"
 _SNAPSHOT = "snapshot.json"
 _STOREHEADER = "store.json"
+
+
+def _matrix_fields(token: Tuple) -> Dict[str, object]:
+    name, n_rows, n_cols, nnz, digest = token
+    return {
+        "name": name,
+        "n_rows": int(n_rows),
+        "n_cols": int(n_cols),
+        "nnz": int(nnz),
+        "digest": digest,
+    }
+
+
+def design_entry_doc(
+    token: Tuple, signature: Tuple, arch: str, payload: Dict[str, object]
+) -> Dict[str, object]:
+    """The canonical design entry document (the ``entry`` of a ``design``
+    record; byte-identical to a legacy ``designs/<digest>.json`` file)."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": "design",
+        "arch": arch,
+        "matrix": _matrix_fields(token),
+        "signature": repr(signature),
+        "payload_digest": payload_digest(payload),
+        "payload": payload,
+    }
+
+
+def result_entry_doc(token: Tuple, arch: str, record: Dict) -> Dict[str, object]:
+    """The canonical result entry document (see :func:`design_entry_doc`)."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": "result",
+        "arch": arch,
+        "matrix": _matrix_fields(token),
+        "payload_digest": payload_digest(record),
+        "payload": record,
+    }
+
+
+def result_meta_doc(arch: Optional[str], record: Dict) -> Dict:
+    """Lightweight nearest-neighbour metadata derived from one record."""
+    meta = {
+        "schema": SCHEMA_VERSION,
+        "arch": arch,
+        "name": record.get("name"),
+        "matrix_digest": record.get("matrix_digest"),
+        "features": record.get("features"),
+        "best_gflops": record.get("best_gflops"),
+        "via": record.get("via", "search"),
+        "has_graph": record.get("graph") is not None,
+    }
+    if "workload" in record:
+        # Absent == spmv, matching the record convention.
+        meta["workload"] = record["workload"]
+    return meta
+
+
+@dataclass(frozen=True)
+class StoreStats:
+    """Counters of one store handle (hit/miss/write per entry kind, plus
+    corrupt entries encountered), ``since``-comparable like the in-memory
+    cache stats."""
+
+    design_hits: int = 0
+    design_misses: int = 0
+    design_writes: int = 0
+    result_hits: int = 0
+    result_misses: int = 0
+    result_writes: int = 0
+    corrupt: int = 0
+    quarantined: int = 0
+
+    def since(self, other: "StoreStats") -> "StoreStats":
+        return StoreStats(
+            design_hits=self.design_hits - other.design_hits,
+            design_misses=self.design_misses - other.design_misses,
+            design_writes=self.design_writes - other.design_writes,
+            result_hits=self.result_hits - other.result_hits,
+            result_misses=self.result_misses - other.result_misses,
+            result_writes=self.result_writes - other.result_writes,
+            corrupt=self.corrupt - other.corrupt,
+            quarantined=self.quarantined - other.quarantined,
+        )
+
+
+@dataclass(frozen=True)
+class EntryStatus:
+    """One entry's integrity verdict (``verify`` / ``ls``)."""
+
+    kind: str  # "design" | "result" | "journal"
+    filename: str
+    ok: bool
+    matrix: str
+    arch: str
+    detail: str
+    bytes: int
 
 
 class LockContended(OSError):
@@ -135,12 +252,23 @@ class _State:
     #: framing damage found mid-log: (offset, reason) — records behind it
     #: are unreachable until compaction
     tail_lost: Optional[Tuple[int, str]] = None
+    #: ``snapshot.json`` identity when loaded (part of the cache token)
+    snapshot: Optional[Tuple[int, int, int]] = None
+    #: epoch of a snapshot that already folds in this journal (a
+    #: compaction crashed before the reset); the next writer resets
+    folded_epoch: Optional[int] = None
+
+
+def _stat_key(path: str) -> Optional[Tuple[int, int, int]]:
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 class JournalStore:
-    """Append-only journal with the :class:`DesignStore` API surface."""
-
-    backend = "journal"
+    """On-disk content-addressed store of designs and search results."""
 
     def __init__(
         self,
@@ -189,11 +317,11 @@ class JournalStore:
                     f"{SCHEMA_VERSION}; rebuild the store (or read it with "
                     "the revision that wrote it)"
                 )
-            if header.get("backend", "dir") != "journal":
-                raise StoreError(
-                    f"design store {self.path!r} uses the "
-                    f"{header.get('backend', 'dir')!r} backend; open it with "
-                    "repro.store.open_store (or DesignStore directly)"
+            if header.get("backend") != "journal":
+                raise StoreVersionError(
+                    f"design store {self.path!r} has the retired "
+                    "directory layout; convert it with "
+                    f"`python -m repro store migrate {self.path} NEW`"
                 )
         elif create:
             os.makedirs(self.path, exist_ok=True)
@@ -214,10 +342,8 @@ class JournalStore:
             raise StoreError(f"no design store at {self.path!r}")
         journal = self._journal_path
         if not os.path.exists(journal):
-            if not create:
-                # a header without a journal is an interrupted creation;
-                # recreate the empty log rather than failing every read
-                pass
+            # a header without a journal is an interrupted creation:
+            # recreate the empty log rather than failing every read
             with open(journal, "xb") as fh:
                 fh.write(_MAGIC + struct.pack(">Q", 0))
         # Open-time recovery: if we can take the writer lock without
@@ -288,34 +414,39 @@ class JournalStore:
             )
         return struct.unpack(">Q", head[len(_MAGIC) :])[0]
 
-    def _refresh(self) -> None:
-        """Revalidate the in-memory state against the journal position.
+    def _refresh(self, strict: bool = False) -> None:
+        """Revalidate the in-memory state against the files on disk.
 
-        Same epoch + same size: cache hit, nothing read.  Same epoch,
-        grown file: replay only the new bytes.  Anything else (compaction
-        happened, or the file shrank under recovery): full reload.
+        Same epoch, snapshot and size: cache hit, nothing read.  Same
+        epoch and snapshot, grown file: replay only the new bytes.
+        Anything else (a compaction, a shrink): full reload.  A read
+        error serves the cache unless ``strict`` (the writer path).
         """
         if self.faults is not None:
             self.faults.maybe_slow("journal-refresh")
         try:
             size = os.path.getsize(self._journal_path)
             epoch = self._read_header()
+            snapshot = _stat_key(self._snapshot_path)
         except (OSError, StoreError):
-            if self._loaded:
-                return  # serve the cache; writers will surface the error
+            if self._loaded and not strict:
+                return
             raise
         state = self._state
-        if self._loaded and epoch == state.epoch and size == state.offset:
-            return
-        if self._loaded and epoch == state.epoch and size > state.offset:
-            self._replay(state, start=state.offset)
+        if (
+            self._loaded
+            and (epoch, snapshot) == (state.epoch, state.snapshot)
+            and size >= state.offset
+        ):
+            if size > state.offset:
+                self._replay(state, start=state.offset)
             return
         self._state = self._load_state()
         self._loaded = True
 
     def _load_state(self) -> _State:
         """Full reload: snapshot (if any) + journal replay."""
-        state = _State()
+        state = _State(snapshot=_stat_key(self._snapshot_path))
         snapshot = self._read_snapshot()
         journal_epoch = self._read_header()
         if snapshot is not None:
@@ -328,6 +459,7 @@ class JournalStore:
                 # reset: every journal record is already folded in.  Keep
                 # the *journal's* epoch as the cache token so refresh stays
                 # consistent until a writer finishes the reset.
+                state.folded_epoch = state.epoch
                 state.epoch = journal_epoch
                 state.offset = os.path.getsize(self._journal_path)
                 return state
@@ -410,8 +542,8 @@ class JournalStore:
             self._bump(corrupt=1)
             return
         if op == "design":
-            # first-writer-wins, matching the directory backend's
-            # put_design contract (design output is key-deterministic)
+            # first-writer-wins: design output is a deterministic
+            # function of the key, so a later writer adds nothing
             state.designs.setdefault(key, entry)
         else:
             state.results[key] = entry
@@ -420,29 +552,25 @@ class JournalStore:
     # Journal writing
     # ------------------------------------------------------------------
     def _recover_locked(self) -> None:
-        """Truncated-tail recovery; caller holds the file lock.
+        """Writer-side recovery; caller holds the file lock.
 
-        Replays to find the last complete record, then truncates anything
-        beyond it — a torn final record from a crashed writer is dropped
-        here, never replayed.  Also finishes a crashed compaction (snapshot
-        newer than the journal) by resetting the log.
+        Catches up with the log (verifying only bytes this handle has not
+        seen), then truncates anything past the last complete record — a
+        torn final record from a crashed writer is dropped here, never
+        replayed.  Also finishes a crashed compaction (snapshot newer than
+        the journal) by resetting the log.
         """
-        snapshot = self._read_snapshot()
-        journal_epoch = self._read_header()
-        if snapshot is not None and int(snapshot.get("epoch", 0)) > journal_epoch:
-            self._reset_journal(int(snapshot["epoch"]))
-            self._state = self._load_state()
-            self._loaded = True
-            return
-        state = self._load_state()
-        size = os.path.getsize(self._journal_path)
-        if size > state.offset:
+        self._refresh(strict=True)
+        state = self._state
+        if state.folded_epoch is not None:
+            self._reset_journal(state.folded_epoch)
+            state.epoch, state.offset = state.folded_epoch, _HEADER_SIZE
+            state.folded_epoch = None
+        elif os.path.getsize(self._journal_path) > state.offset:
             with open(self._journal_path, "r+b") as fh:
                 fh.truncate(state.offset)
                 fh.flush()
                 os.fsync(fh.fileno())
-        self._state = state
-        self._loaded = True
 
     def _reset_journal(self, epoch: int) -> None:
         with open(self._journal_path, "r+b") as fh:
@@ -512,8 +640,12 @@ class JournalStore:
     def get_design(
         self, token: Tuple, signature: Tuple, arch: str
     ) -> Optional[Tuple[str, object]]:
-        """Stored design-phase outcome, or None on miss/corruption —
-        exactly the :meth:`DesignStore.get_design` contract."""
+        """Stored design-phase outcome, or None on miss/corruption.
+
+        Returns ``("ok", leaves)`` for a stored success and
+        ``("error", message)`` for a stored :class:`DesignError` — the
+        caller replays the failure exactly like the in-memory cache does.
+        """
         digest = self.design_digest(token, signature, arch)
         with self._mutex:
             self._refresh()
@@ -605,8 +737,8 @@ class JournalStore:
         self._bump(result_writes=1)
 
     def result_metas(self, arch: Optional[str] = None) -> List[Tuple[str, Dict]]:
-        """``(digest, meta)`` per stored result, digest-ordered — derived
-        in memory from the replayed state (no sidecar files to heal)."""
+        """``(digest, meta)`` per stored result, digest-ordered — the
+        cheap scan the serving frontend ranks neighbours on."""
         with self._mutex:
             self._refresh()
             items = sorted(self._state.results.items())
@@ -701,6 +833,7 @@ class JournalStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self._snapshot_path)
+        state.snapshot = _stat_key(self._snapshot_path)
         self._reset_journal(new_epoch)
         state.epoch = new_epoch
         state.offset = _HEADER_SIZE
@@ -808,9 +941,10 @@ class JournalStore:
     def gc(self) -> Tuple[List[str], List[str]]:
         """Prune invalid records and unreferenced designs, then compact.
 
-        Mirrors :meth:`DesignStore.gc`: a design is *referenced* when a
-        valid result exists for its ``(matrix digest, arch)``; claims are
-        between-runs residue and are cleared.
+        A design is *referenced* when a valid result exists for its
+        ``(matrix digest, arch)`` — some search of that matrix finished;
+        unreferenced designs are partial-search residue the next search
+        regenerates.  Claims are between-runs residue and are cleared.
         """
         with self._mutex:
             with self._file_lock():

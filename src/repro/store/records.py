@@ -69,7 +69,7 @@ def nearest_result_digest(
 
     The donor-ranking rule shared by the serving frontend's tier-2
     neighbour transfer and the engine's cross-matrix warm start: walk the
-    lightweight ``(digest, meta)`` sidecar pairs, keep graph-bearing
+    lightweight ``(digest, meta)`` pairs, keep graph-bearing
     records of the same workload (absent == spmv) that are not the matrix
     itself (``exclude_digest`` is its content digest), and rank by
     Euclidean feature distance with a deterministic ``(name, digest)``

@@ -26,7 +26,7 @@ from repro.gpu import A100
 from repro.search import SearchBudget
 from repro.search.evaluation import matrix_token
 from repro.sparse import SparseMatrix, corpus
-from repro.store import DesignStore, search_result_record
+from repro.store import JournalStore, search_result_record
 
 from candidate_oracle import use_oracle
 
@@ -59,7 +59,7 @@ class TestBatchedHistoryIdentity:
         self, batch, jobs, with_store, tmp_path
     ):
         store = (
-            DesignStore(str(tmp_path / f"store-{batch}-{jobs}"))
+            JournalStore(str(tmp_path / f"store-{batch}-{jobs}"))
             if with_store
             else None
         )
@@ -149,7 +149,7 @@ class TestWarmStart:
         return result
 
     def test_empty_store_is_exactly_cold(self, tmp_path):
-        store = DesignStore(str(tmp_path / "empty"))
+        store = JournalStore(str(tmp_path / "empty"))
         matrix = named_matrix(GOLDEN_MATRIX)
         results = []
         for warm in (store, None):
@@ -162,7 +162,7 @@ class TestWarmStart:
         assert _identities(results[0]) == _identities(results[1])
 
     def test_donor_seeds_iteration_zero(self, tmp_path):
-        store = DesignStore(str(tmp_path / "donors"))
+        store = JournalStore(str(tmp_path / "donors"))
         donor_result = self._populate(store, named_matrix("scfxm1-2r"))
         with SearchEngine(
             A100, budget=SearchBudget(max_total_evals=24), seed=0,
@@ -180,7 +180,7 @@ class TestWarmStart:
     def test_own_result_never_donates(self, tmp_path):
         """Self-exclusion: the store's entry for this very matrix must
         not warm-start it (that is the design store's exact-hit job)."""
-        store = DesignStore(str(tmp_path / "self"))
+        store = JournalStore(str(tmp_path / "self"))
         matrix = named_matrix("scfxm1-2r")
         self._populate(store, matrix)
         with SearchEngine(
@@ -203,7 +203,7 @@ class TestWarmStart:
             cold_records = cold.run(matrices).records
         assert all("warm_start_hits" not in r["search"] for r in cold_records)
 
-        store = DesignStore(str(tmp_path / "ws"))
+        store = JournalStore(str(tmp_path / "ws"))
         warm = CorpusRunner(
             A100, budget=budget, design_store=store, warm_start=True
         )

@@ -1,11 +1,15 @@
 """CLI tests (the paper's artifact-usage contract)."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
 from repro.sparse import write_matrix_market
+from store_damage import damage_record
+
+LEGACY_STORE = os.path.join(os.path.dirname(__file__), "data", "legacy-store")
 
 
 @pytest.fixture
@@ -107,9 +111,15 @@ class TestSearch:
         stages = [line.split()[0] for line in out.splitlines() if line.strip()]
         assert "batch_cost" in stages and "analysis" not in stages
 
-    def test_unknown_gpu_fails(self, mtx_file):
-        with pytest.raises(KeyError):
+    def test_unknown_gpu_fails(self, mtx_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["search", mtx_file, "--gpu", "H100", "--evals", "4"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == (
+            "repro search: error: argument --gpu: unknown GPU 'H100'; "
+            "presets: A100, RTX2080"
+        )
 
     def test_jobs_flag(self, mtx_file, capsys):
         assert main(["search", mtx_file, "--evals", "16", "--jobs", "2"]) == 0
@@ -241,8 +251,7 @@ class TestStoreCommand:
     def test_verify_clean_and_corrupt(self, populated, tmp_path, capsys):
         assert main(["store", "verify", populated]) == 0
         capsys.readouterr()
-        entry = sorted((tmp_path / "designs" / "designs").glob("*.json"))[0]
-        entry.write_text(entry.read_text()[:30])
+        damage_record(populated, "design")
         assert main(["store", "verify", populated]) == 1
         assert "CORRUPT" in capsys.readouterr().out
 
@@ -253,6 +262,66 @@ class TestStoreCommand:
     def test_missing_store_reports_cleanly(self, tmp_path, capsys):
         assert main(["store", "ls", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().out
+
+    def test_migrate_legacy_store(self, tmp_path, capsys):
+        new = str(tmp_path / "new")
+        assert main(["store", "ls", LEGACY_STORE]) == 2
+        assert "store migrate" in capsys.readouterr().out
+        assert main(["store", "migrate", LEGACY_STORE, new]) == 0
+        assert "migrated 5 entries" in capsys.readouterr().out
+        assert main(["store", "verify", new]) == 0
+        assert "5 ok, 0 corrupt" in capsys.readouterr().out
+        assert main(["store", "migrate", LEGACY_STORE]) == 2
+        assert main(["store", "ls", new, str(tmp_path / "x")]) == 2
+        assert "error:" in capsys.readouterr().out
+
+
+class TestOneStore:
+    def test_serve_store_works_for_every_command(self, mtx_file, tmp_path,
+                                                 capsys):
+        """One store, written by serve, opens in every store-taking
+        command."""
+        store = str(tmp_path / "store")
+        for argv in (
+            ["serve", mtx_file, "--store", store, "--evals", "16"],
+            ["search", mtx_file, "--evals", "16", "--store", store],
+            ["bench", mtx_file, "--evals", "12", "--store", store],
+            ["check", "--store", store],
+            ["store", "verify", store],
+            ["store", "compact", store],
+        ):
+            assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert "0 designer runs" in out  # search warm-started from serve
+        assert "check passed" in out and "compacted to epoch 1" in out
+
+    @pytest.mark.parametrize("command", ["search", "bench", "serve"])
+    def test_unusable_store_path_exits_cleanly(self, command, mtx_file,
+                                               tmp_path, capsys):
+        a_file = tmp_path / "file"
+        a_file.write_text("{}")
+        bad_header = tmp_path / "bad-header"
+        bad_header.mkdir()
+        (bad_header / "store.json").write_text("not json")
+        bad_schema = tmp_path / "bad-schema"
+        bad_schema.mkdir()
+        (bad_schema / "store.json").write_text(
+            '{"kind": "design-store", "schema": 99, "backend": "journal"}'
+        )
+        cases = [
+            (a_file, "is a file"),
+            (bad_header, "cannot read design-store header"),
+            (bad_schema, "schema 99"),
+            (LEGACY_STORE, "store migrate"),
+        ]
+        for path, reason in cases:
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, mtx_file, "--evals", "8",
+                      "--store", str(path)])
+            assert exit_info.value.code == 2
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert reason in lines[0]
 
 
 class TestSearchMultiExport:

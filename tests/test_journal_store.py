@@ -1,5 +1,4 @@
-"""Journal store backend: crash consistency, faults, parity with the
-directory backend.
+"""Journal store: crash consistency, faults, incremental appends.
 
 The load-bearing suite is :class:`TestCrashConsistency`: a writer killed
 mid-append must never cost more than the record it was writing.  We
@@ -7,10 +6,10 @@ simulate the kill at *every* byte offset of a populated journal —
 truncate, reopen, and assert the survivor recovers to exactly the state
 of the last complete record, with the torn tail physically truncated.
 
-The differential test then pins the other half of the contract: for the
-same write sequence, the journal backend and the directory backend hold
-bit-identical entry documents (shared doc builders), so the serving layer
-cannot tell them apart.
+:class:`TestWritePath` pins the cost side: a long-lived handle verifies
+each record once, so an append costs the same however long the log is.
+The property test then checks that reads through a fresh handle match a
+plain in-memory model of the same write sequence.
 """
 
 import fcntl
@@ -27,7 +26,16 @@ from repro.reliability.faults import FaultPlan, InjectedCrash
 from repro.reliability.retry import RetryPolicy
 from repro.search.evaluation import matrix_token
 from repro.sparse import banded_matrix
-from repro.store import DesignStore, JournalStore, StoreError, open_store
+from repro.store import (
+    JournalStore,
+    StoreError,
+    StoreVersionError,
+    design_entry_doc,
+    encode_leaves,
+    open_store,
+    result_entry_doc,
+    result_meta_doc,
+)
 from repro.store.journal import (
     _FRAME,
     _HEADER_SIZE,
@@ -73,28 +81,33 @@ def _fast_lock_policy():
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# Opening
 # ----------------------------------------------------------------------
 class TestOpenStore:
-    def test_auto_detects_backend(self, tmp_path):
-        jpath, dpath = tmp_path / "j", tmp_path / "d"
-        assert isinstance(open_store(jpath, backend="journal"), JournalStore)
-        assert isinstance(open_store(dpath, backend="dir"), DesignStore)
-        assert isinstance(open_store(jpath), JournalStore)  # header says so
-        assert isinstance(open_store(dpath), DesignStore)
-        assert isinstance(open_store(tmp_path / "fresh"), DesignStore)
+    def test_open_store_opens_the_journal(self, tmp_path):
+        created = open_store(tmp_path / "s")
+        assert isinstance(created, JournalStore)
+        created.put_result(_TOKENS[0], ARCH, _result(1.0))
+        reopened = open_store(tmp_path / "s", backend="journal", create=False)
+        assert reopened.get_result(_TOKENS[0], ARCH)["best_gflops"] == 1.0
 
     def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="unknown store backend"):
-            open_store(tmp_path / "s", backend="sqlite")
+        for backend in ("sqlite", "dir", "auto"):
+            with pytest.raises(StoreError, match="unknown store backend"):
+                open_store(tmp_path / "s", backend=backend)
 
     def test_wrong_class_for_backend_rejected(self, tmp_path):
-        open_store(tmp_path / "j", backend="journal")
-        with pytest.raises(StoreError, match="journal"):
-            DesignStore(tmp_path / "j")
-        open_store(tmp_path / "d", backend="dir")
-        with pytest.raises(StoreError, match="backend"):
-            JournalStore(tmp_path / "d")
+        """A store in the retired directory layout is refused with the
+        command that converts it."""
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        (legacy / "store.json").write_text(
+            '{"kind": "design-store", "schema": 1}\n'
+        )
+        for opener in (JournalStore, open_store):
+            with pytest.raises(StoreVersionError, match="store migrate"):
+                opener(legacy)
+        assert sorted(p.name for p in legacy.iterdir()) == ["store.json"]
 
 
 # ----------------------------------------------------------------------
@@ -322,8 +335,6 @@ class TestLockingAndQuarantine:
         assert store.faults.fired.get("lock_timeout", 0) > 0
 
     def test_unhydratable_design_is_quarantined(self, tmp_path):
-        from repro.store.design import design_entry_doc
-
         path = tmp_path / "s"
         store = JournalStore(path)
         digest = store.design_digest(_TOKENS[0], SIG, ARCH)
@@ -360,9 +371,97 @@ class TestLockingAndQuarantine:
 
 
 # ----------------------------------------------------------------------
-# Differential parity with the directory backend
+# Write path
 # ----------------------------------------------------------------------
-class TestBackendParity:
+class TestWritePath:
+    def test_append_cost_is_independent_of_log_length(
+        self, tmp_path, monkeypatch
+    ):
+        """Each record is digest-checked once per handle: N appends onto
+        an M-record log cost O(N) payload digests, not O(N*M) — also
+        with a second writer interleaving appends on the same file."""
+        import repro.store.journal as journal
+
+        calls = []
+        real = journal.payload_digest
+
+        def counting(payload):
+            calls.append(1)
+            return real(payload)
+
+        path = tmp_path / "s"
+        seed = JournalStore(path, auto_compact_bytes=None)
+        for i in range(60):
+            seed.put_result(("m", 1, 1, 1, f"d{i}"), ARCH, _result(i))
+        monkeypatch.setattr(journal, "payload_digest", counting)
+        writers = [
+            JournalStore(path, auto_compact_bytes=None) for _ in range(2)
+        ]
+        assert len(calls) == 2 * 60  # a fresh handle verifies the whole log
+        del calls[:]
+        n = 20
+        for i in range(n):
+            writers[i % 2].put_result(
+                ("n", 1, 1, 1, f"e{i}"), ARCH, _result(i)
+            )
+        # per append: the entry doc, the writer's own replay of it, and
+        # the other writer catching up on it before its next append
+        assert len(calls) <= 3 * n
+        assert len(JournalStore(path).results()) == 60 + n
+
+    def test_long_lived_writer_truncates_a_foreign_torn_tail(self, tmp_path):
+        path = tmp_path / "s"
+        writer = JournalStore(path)
+        writer.put_result(_TOKENS[0], ARCH, _result(1.0))
+        crashing = JournalStore(
+            path, faults=FaultPlan(seed=0, torn_write_rate=1.0)
+        )
+        with pytest.raises(InjectedCrash):  # a torn design record
+            crashing.put_design(_TOKENS[1], SIG, ARCH, leaves=_LEAVES[1])
+        clean_end = _frames((path / "journal.log").read_bytes())[-1][1]
+        torn = os.path.getsize(path / "journal.log") - clean_end
+        writer.put_result(_TOKENS[2], ARCH, _result(3.0))
+        data = (path / "journal.log").read_bytes()
+        frames = _frames(data)
+        assert len(frames) == 2 and frames[-1][1] == len(data)
+        assert frames[-1][0] == clean_end  # appended where the tear began
+        # the small append alone would not have covered the torn bytes
+        assert torn > len(data) - clean_end
+        fresh = JournalStore(path)
+        assert fresh.get_design(_TOKENS[1], SIG, ARCH) is None
+        assert fresh.get_result(_TOKENS[2], ARCH)["best_gflops"] == 3.0
+        assert all(e.ok for e in fresh.entries())
+
+
+    def test_long_lived_writer_finishes_a_foreign_crashed_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        """A snapshot written by another handle whose compaction died
+        before the journal reset must not be missed by a writer whose
+        cached state predates it: appending to the old-epoch journal
+        would lose the record."""
+        path = tmp_path / "s"
+        writer = JournalStore(path)
+        writer.put_result(_TOKENS[0], ARCH, _result(1.0))
+        compactor = JournalStore(path)
+
+        def crash(epoch):
+            raise InjectedCrash("died before the journal reset")
+
+        monkeypatch.setattr(compactor, "_reset_journal", crash)
+        with pytest.raises(InjectedCrash):
+            compactor.compact()
+        writer.put_result(_TOKENS[1], ARCH, _result(2.0))
+        fresh = JournalStore(path)
+        assert fresh._read_header() == 1
+        assert fresh.get_result(_TOKENS[0], ARCH)["best_gflops"] == 1.0
+        assert fresh.get_result(_TOKENS[1], ARCH)["best_gflops"] == 2.0
+
+
+# ----------------------------------------------------------------------
+# Reads against a reference model
+# ----------------------------------------------------------------------
+class TestReferenceModel:
     @settings(max_examples=25, deadline=None)
     @given(
         ops=st.lists(
@@ -374,46 +473,57 @@ class TestBackendParity:
             max_size=10,
         )
     )
-    def test_backends_hold_bit_identical_content(self, ops):
-        """Same write sequence → byte-identical entry documents in both
-        backends (shared doc builders), so reads cannot diverge."""
+    def test_reads_match_a_reference_model(self, ops):
+        """Any write sequence reads back, through a fresh handle, exactly
+        as a dict model with first-writer-wins designs and
+        last-writer-wins results."""
+        designs, results = {}, {}
         with tempfile.TemporaryDirectory() as tmp:
-            stores = (
-                DesignStore(os.path.join(tmp, "dir")),
-                JournalStore(os.path.join(tmp, "journal")),
-            )
+            store = JournalStore(tmp)
             for op, idx, value in ops:
-                for store in stores:
-                    if op == "design_ok":
-                        store.put_design(
-                            _TOKENS[idx], SIG, ARCH, leaves=_LEAVES[idx]
-                        )
-                    elif op == "design_err":
-                        store.put_design(
-                            _TOKENS[idx], ("sig",), ARCH, error=f"E{value}"
-                        )
-                    else:
-                        store.put_result(_TOKENS[idx], ARCH, _result(value))
-            dir_store, journal_store = stores
-            assert json.dumps(
-                dir_store.design_payloads(), sort_keys=True
-            ) == json.dumps(journal_store.design_payloads(), sort_keys=True)
-            assert dir_store.results() == journal_store.results()
-            assert dir_store.result_metas() == journal_store.result_metas()
-            for op, idx, _ in ops:
-                assert (
-                    dir_store.get_result(_TOKENS[idx], ARCH)
-                    == journal_store.get_result(_TOKENS[idx], ARCH)
-                )
-                if op == "design_ok":
-                    # payload byte-parity is proven above; here just the
-                    # hit/miss outcome (leaves hold numpy arrays, so the
-                    # decoded objects do not compare with ==)
-                    assert (
-                        dir_store.get_design(_TOKENS[idx], SIG, ARCH)[0]
-                        == journal_store.get_design(_TOKENS[idx], SIG, ARCH)[0]
+                token = _TOKENS[idx]
+                if op == "result":
+                    store.put_result(token, ARCH, _result(value))
+                    results[store.result_digest(token, ARCH)] = (
+                        result_entry_doc(token, ARCH, _result(value))
                     )
-                elif op == "design_err":
-                    assert dir_store.get_design(
-                        _TOKENS[idx], ("sig",), ARCH
-                    ) == journal_store.get_design(_TOKENS[idx], ("sig",), ARCH)
+                    continue
+                if op == "design_ok":
+                    sig, kwargs = SIG, {"leaves": _LEAVES[idx]}
+                else:
+                    sig, kwargs = ("sig",), {"error": f"E{value}"}
+                store.put_design(token, sig, ARCH, **kwargs)
+                payload = (
+                    {"status": "error", "message": kwargs["error"]}
+                    if "error" in kwargs
+                    else {"status": "ok", "leaves": encode_leaves(_LEAVES[idx])}
+                )
+                designs.setdefault(
+                    store.design_digest(token, sig, ARCH),
+                    design_entry_doc(token, sig, ARCH, payload),
+                )
+            fresh = JournalStore(tmp)
+            assert json.dumps(fresh.design_payloads(), sort_keys=True) == (
+                json.dumps(
+                    [
+                        (f"{d}.json", e["signature"], e["payload"])
+                        for d, e in sorted(designs.items())
+                    ],
+                    sort_keys=True,
+                )
+            )
+            assert fresh.results() == [
+                e["payload"] for _, e in sorted(results.items())
+            ]
+            assert fresh.result_metas() == [
+                (d, result_meta_doc(ARCH, e["payload"]))
+                for d, e in sorted(results.items())
+            ]
+            for op, idx, _ in ops:
+                if op == "design_err":
+                    digest = fresh.design_digest(_TOKENS[idx], ("sig",), ARCH)
+                    assert fresh.get_design(_TOKENS[idx], ("sig",), ARCH) == (
+                        "error", designs[digest]["payload"]["message"]
+                    )
+                elif op == "design_ok":
+                    assert fresh.get_design(_TOKENS[idx], SIG, ARCH)[0] == "ok"

@@ -506,6 +506,36 @@ class TestLeafAnalysisCache:
         delta = after.since(before)
         assert (delta.hits, delta.misses, delta.evictions) == (3, 1, 1)
 
+    def test_closed_engine_frees_its_plans_without_a_gc(self, small_regular):
+        """Memoized plans point back at their leaf analysis; closing the
+        engine must break that cycle so the memory returns at once, not
+        at the next cyclic collection."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            engine = SearchEngine(
+                A100, budget=SearchBudget(max_total_evals=12), seed=0
+            )
+            result = engine.search(small_regular)
+            plans = [
+                value
+                for design in engine.evaluator.analysis._entries.values()
+                for leaf in design._leaves
+                for value in leaf._scalars.values()
+                if isinstance(value, ExecutionPlan)
+            ]
+            assert plans
+            ref = weakref.ref(plans[0])
+            del plans
+            engine.close()
+            del result, engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_leaf_analysis_computes_once(self):
         analysis = LeafAnalysis()
         calls = []

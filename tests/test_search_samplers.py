@@ -28,7 +28,7 @@ from repro.search import (
     sampler_names,
 )
 from repro.sparse.generators import power_law_matrix
-from repro.store import DesignStore
+from repro.store import JournalStore
 
 # The pre-sampler-interface golden digest (tests/test_workloads.py): the
 # default sampler must keep reproducing these bytes.
@@ -128,7 +128,7 @@ class TestAnnealerByteIdentity:
         for jobs in (1, 4):
             for use_store in (False, True):
                 store = (
-                    DesignStore(tmp_path / f"s{jobs}{int(use_store)}")
+                    JournalStore(tmp_path / f"s{jobs}{int(use_store)}")
                     if use_store
                     else None
                 )

@@ -9,7 +9,7 @@ from repro.search import SearchBudget
 from repro.search.evaluation import matrix_token
 from repro.serve import Frontend, ServeStats, default_serve_budget
 from repro.sparse import banded_matrix, power_law_matrix
-from repro.store import DesignStore
+from repro.store import JournalStore
 
 BUDGET = SearchBudget(
     max_structures=6, coarse_evals_per_structure=6, max_total_evals=24
@@ -18,7 +18,7 @@ BUDGET = SearchBudget(
 
 @pytest.fixture
 def store(tmp_path):
-    return DesignStore(tmp_path / "store")
+    return JournalStore(tmp_path / "store")
 
 
 def frontend(store, jobs=1, budget=BUDGET):
@@ -47,7 +47,7 @@ class TestTiers:
     def test_exact_hit_survives_process_restart(self, store, tmp_path):
         with frontend(store) as fe:
             first = fe.resolve(MATRIX_A)
-        with frontend(DesignStore(tmp_path / "store")) as fresh:
+        with frontend(JournalStore(tmp_path / "store")) as fresh:
             served = fresh.resolve(MATRIX_A)
             assert served.source == "store"
             assert served.gflops == first.gflops
@@ -134,9 +134,9 @@ class TestBatch:
 
     def test_batch_matches_sequential(self, tmp_path):
         matrices = [MATRIX_A, MATRIX_B, MATRIX_C]
-        with frontend(DesignStore(tmp_path / "s1")) as fe:
+        with frontend(JournalStore(tmp_path / "s1")) as fe:
             sequential = [fe.resolve(m) for m in matrices]
-        with frontend(DesignStore(tmp_path / "s2"), jobs=2) as fe:
+        with frontend(JournalStore(tmp_path / "s2"), jobs=2) as fe:
             batched = fe.resolve_batch(matrices)
         for a, b in zip(sequential, batched):
             assert (a.source, a.gflops, a.neighbour_of) == (
@@ -153,7 +153,7 @@ class TestBatch:
         mid = banded_matrix(200, bandwidth=3, seed=8, name="m200")
         near_mid = banded_matrix(208, bandwidth=3, seed=9, name="m208")
 
-        with frontend(DesignStore(tmp_path / "seq")) as fe:
+        with frontend(JournalStore(tmp_path / "seq")) as fe:
             fe.resolve(donor)
             sequential = [fe.resolve(mid), fe.resolve(near_mid)]
         assert sequential[0].neighbour_of == "d"
@@ -161,7 +161,7 @@ class TestBatch:
         assert sequential[1].neighbour_of == "m200"
 
         for jobs in (1, 2):
-            with frontend(DesignStore(tmp_path / f"b{jobs}"),
+            with frontend(JournalStore(tmp_path / f"b{jobs}"),
                           jobs=jobs) as fe:
                 fe.resolve(donor)
                 batched = fe.resolve_batch([mid, near_mid])
@@ -175,10 +175,10 @@ class TestBatch:
         """The fallback search seeds from matrix *content*, so what a
         fresh search finds is a property of the matrix, not of which
         frontend (or request history) triggered it."""
-        with frontend(DesignStore(tmp_path / "s1")) as fe1:
+        with frontend(JournalStore(tmp_path / "s1")) as fe1:
             r1 = fe1.resolve(MATRIX_C)
             seed1 = fe1._search_seed(matrix_token(MATRIX_C))
-        with frontend(DesignStore(tmp_path / "s2")) as fe2:
+        with frontend(JournalStore(tmp_path / "s2")) as fe2:
             fe2.resolve(MATRIX_A)  # unrelated earlier traffic
             r2 = fe2._resolve_search(MATRIX_C, matrix_token(MATRIX_C))
             seed2 = fe2._search_seed(matrix_token(MATRIX_C))

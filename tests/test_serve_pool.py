@@ -48,7 +48,6 @@ def _mats(n, seed=0):
 
 def _pool(store_path, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("backend", "journal")
     kwargs.setdefault("budget", BUDGET)
     kwargs.setdefault("deadline_s", 20.0)
     return ResolverPool(A100, store_path, **kwargs)
@@ -132,7 +131,7 @@ class TestPoolChaos:
 class TestClaims:
     def test_preclaimed_search_is_not_rerun(self, tmp_path):
         matrix = _mats(1)[0]
-        store = open_store(tmp_path / "s", backend="journal")
+        store = open_store(tmp_path / "s")
         key = search_claim_key(
             DEFAULT_WORKLOAD_NAME, A100.name, matrix_token(matrix)[-1]
         )
@@ -147,7 +146,7 @@ class TestClaims:
 
     def test_pool_claims_its_own_searches(self, tmp_path):
         matrix = _mats(1)[0]
-        store = open_store(tmp_path / "s", backend="journal")
+        store = open_store(tmp_path / "s")
         with _pool(tmp_path / "s") as pool:
             (response,) = pool.resolve_batch([matrix])
         assert response.source == "search"
@@ -189,7 +188,7 @@ def _fast_fallback():
 
 class TestFrontendBatchIsolation:
     def _frontend(self, tmp_path, fail_matrices, fails=10**9):
-        store = open_store(tmp_path / "s", backend="journal")
+        store = open_store(tmp_path / "s")
         probe = Frontend(A100, store, budget=BUDGET)
         scoped = {
             probe.workload.scope_token(matrix_token(m)) for m in fail_matrices
@@ -222,7 +221,7 @@ class TestFrontendBatchIsolation:
 
     def test_degraded_answer_prefers_stored_donor(self, tmp_path):
         matrices = _mats(2)
-        store = open_store(tmp_path / "s", backend="journal")
+        store = open_store(tmp_path / "s")
         with Frontend(A100, store, budget=BUDGET) as warm:
             warm.resolve(matrices[0])  # a donor now exists
         with Frontend(A100, store, budget=BUDGET) as frontend:
@@ -238,7 +237,7 @@ class TestFrontendBatchIsolation:
 
     def test_degraded_answer_on_empty_store_is_csr_baseline(self, tmp_path):
         matrix = _mats(1)[0]
-        store = open_store(tmp_path / "s", backend="journal")
+        store = open_store(tmp_path / "s")
         with Frontend(A100, store, budget=BUDGET) as frontend:
             response = frontend.resolve_degraded(matrix)
         assert response.source == "degraded"

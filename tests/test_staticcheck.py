@@ -62,7 +62,8 @@ from repro.staticcheck import (
     lint_kernel,
     matrix_facts,
 )
-from repro.store import DesignStore, search_result_record
+from repro.store import JournalStore, search_result_record
+from store_damage import damage_record
 from repro.workloads import WORKLOADS
 
 # 96-eval seed-0 transpose-SpMV search of @2D_27628_bjtcai, captured at
@@ -362,7 +363,7 @@ def populated_store(tmp_path_factory):
     """A store holding real designs plus one finished result record."""
     path = tmp_path_factory.mktemp("audit") / "store"
     matrix = named_matrix("scfxm1-2r")
-    store = DesignStore(path)
+    store = JournalStore(path)
     engine = SearchEngine(
         A100, budget=SearchBudget(max_total_evals=16), seed=0, store=store
     )
@@ -380,7 +381,7 @@ def populated_store(tmp_path_factory):
 
 class TestStoreAudit:
     def test_clean_store_audits_clean(self, populated_store):
-        assert audit_store(DesignStore(populated_store)) == []
+        assert audit_store(JournalStore(populated_store)) == []
 
     def _copy(self, src, dst):
         shutil.copytree(src, dst)
@@ -388,9 +389,8 @@ class TestStoreAudit:
 
     def test_corrupt_entry_is_error(self, populated_store, tmp_path):
         path = self._copy(populated_store, tmp_path / "corrupt")
-        victim = next((path / "designs").glob("*.json"))
-        victim.write_text(victim.read_text()[:20])
-        diags = audit_store(DesignStore(path))
+        damage_record(path, "design")
+        diags = audit_store(JournalStore(path))
         assert any(
             d.code == STORE_CORRUPT_ENTRY and d.severity is Severity.ERROR
             for d in diags
@@ -398,12 +398,12 @@ class TestStoreAudit:
 
     def test_unknown_workload_is_error(self, populated_store, tmp_path):
         path = self._copy(populated_store, tmp_path / "badwl")
-        store = DesignStore(path)
+        store = JournalStore(path)
         (record,) = store.results(A100.name)
         record = dict(record)
         record["workload"] = "nope"
         store.put_result(("other", 1, 1, 1, "d"), A100.name, record)
-        diags = audit_store(DesignStore(path))
+        diags = audit_store(JournalStore(path))
         assert any(
             d.code == STORE_BAD_WORKLOAD and d.severity is Severity.ERROR
             for d in diags
@@ -411,14 +411,14 @@ class TestStoreAudit:
 
     def test_stranded_signature_is_warning(self, populated_store, tmp_path):
         path = self._copy(populated_store, tmp_path / "stranded")
-        store = DesignStore(path)
+        store = JournalStore(path)
         store.put_design(
             ("ghost", 1, 1, 1, "d"),
             (("BOGUS_OP", (), ()),),
             A100.name,
             error="synthetic stranded entry",
         )
-        diags = audit_store(DesignStore(path))
+        diags = audit_store(JournalStore(path))
         stranded = [d for d in diags if d.code == STORE_UNKNOWN_OPERATOR]
         assert stranded and all(
             d.severity is Severity.WARNING for d in stranded
@@ -445,8 +445,7 @@ class TestCheckCommand:
     ):
         path = tmp_path / "broken"
         shutil.copytree(populated_store, path)
-        victim = next((path / "designs").glob("*.json"))
-        victim.write_text("{not json")
+        damage_record(path, "design")
         assert main(["check", "--store", str(path)]) == 1
         out = capsys.readouterr().out
         assert STORE_CORRUPT_ENTRY in out

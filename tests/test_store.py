@@ -7,6 +7,9 @@ and replay a byte-identical history vs a store-less search.
 """
 
 import json
+import os
+import pathlib
+import shutil
 import threading
 
 import numpy as np
@@ -18,16 +21,20 @@ from repro.gpu import A100
 from repro.search import SearchBudget, SearchEngine
 from repro.search.evaluation import matrix_token
 from repro.store import (
-    DesignStore,
+    JournalStore,
     StoreError,
     StoreVersionError,
     decode_leaves,
     decode_value,
+    design_entry_doc,
     encode_leaves,
     encode_value,
     make_result_record,
+    migrate_store,
+    result_entry_doc,
 )
 from repro.sparse import banded_matrix, power_law_matrix
+from store_damage import damage_record
 
 BUDGET = SearchBudget(
     max_structures=6, coarse_evals_per_structure=6, max_total_evals=24
@@ -125,12 +132,12 @@ class TestDesignStore:
         token = matrix_token(matrix)
         meta = MatrixMetadataSet.from_matrix(matrix)
         signature = (("COMPRESS", ()),)
-        store = DesignStore(tmp_path / "store")
+        store = JournalStore(tmp_path / "store")
         store.put_design(
             token, signature, "A100",
             leaves=[DesignLeaf(meta=meta, branch_path=())],
         )
-        fresh = DesignStore(tmp_path / "store")  # new handle, same disk
+        fresh = JournalStore(tmp_path / "store")  # new handle, same disk
         status, leaves = fresh.get_design(token, signature, "A100")
         assert status == "ok"
         assert np.array_equal(leaves[0].meta.elem_val, matrix.vals)
@@ -141,19 +148,19 @@ class TestDesignStore:
     def test_error_designs_replay(self, tmp_path):
         matrix = banded_matrix(16, bandwidth=1, seed=0, name="m")
         token = matrix_token(matrix)
-        store = DesignStore(tmp_path / "store")
+        store = JournalStore(tmp_path / "store")
         store.put_design(token, ("sig",), "A100", error="BIN: no rows left")
         status, message = store.get_design(token, ("sig",), "A100")
         assert status == "error" and "no rows left" in message
 
     def test_put_design_takes_exactly_one_outcome(self, tmp_path):
-        store = DesignStore(tmp_path / "store")
+        store = JournalStore(tmp_path / "store")
         token = matrix_token(banded_matrix(8, bandwidth=1, seed=0, name="m"))
         with pytest.raises(StoreError, match="exactly one"):
             store.put_design(token, ("s",), "A100")
 
     def test_result_roundtrip_and_overwrite(self, tmp_path):
-        store = DesignStore(tmp_path / "store")
+        store = JournalStore(tmp_path / "store")
         matrix = banded_matrix(16, bandwidth=1, seed=0, name="m")
         token = matrix_token(matrix)
         assert store.get_result(token, "A100") is None
@@ -164,12 +171,12 @@ class TestDesignStore:
         assert len(store.results("A100")) == 1
         assert store.results("RTX2080") == []
 
-    def test_result_metas_sidecar_and_self_heal(self, tmp_path):
-        """Nearest-neighbour scans rank on .meta sidecars; a deleted or
-        stale sidecar regenerates from one full entry read."""
+    def test_result_metas_and_payloads(self, tmp_path):
+        """Nearest-neighbour scans rank on lightweight metadata; the full
+        record is fetched by digest only for the chosen neighbour."""
         matrix = banded_matrix(16, bandwidth=1, seed=0, name="m")
         token = matrix_token(matrix)
-        store = DesignStore(tmp_path / "store")
+        store = JournalStore(tmp_path / "store")
         store.put_result(
             token, "A100", make_result_record(matrix, "A100", 2.5, None)
         )
@@ -179,49 +186,35 @@ class TestDesignStore:
         assert meta["name"] == "m" and meta["best_gflops"] == 2.5
         assert meta["has_graph"] is False
         assert len(meta["features"]) == 8
-
-        sidecar = tmp_path / "store" / "results" / f"{digest}.meta"
-        sidecar.unlink()
-        ((_, healed),) = DesignStore(tmp_path / "store").result_metas("A100")
-        assert healed == meta
-        assert sidecar.exists()  # written back
+        assert JournalStore(tmp_path / "store").result_metas() == [
+            (digest, meta)
+        ]
+        assert store.result_metas("RTX2080") == []
 
         assert store.result_payload(digest)["best_gflops"] == 2.5
         assert store.result_payload("0" * 32) is None
 
-    def test_gc_drops_orphan_metas(self, tmp_path):
-        matrix = banded_matrix(16, bandwidth=1, seed=0, name="m")
-        token = matrix_token(matrix)
-        store = DesignStore(tmp_path / "store")
-        store.put_result(
-            token, "A100", make_result_record(matrix, "A100", 1.0, None)
-        )
-        digest = store.result_digest(token, "A100")
-        (tmp_path / "store" / "results" / f"{digest}.json").unlink()
-        DesignStore(tmp_path / "store").gc()
-        assert not (tmp_path / "store" / "results" / f"{digest}.meta").exists()
-
     def test_version_mismatch_raises(self, tmp_path):
         root = tmp_path / "store"
-        DesignStore(root)
+        JournalStore(root)
         (root / "store.json").write_text(
             '{"schema": 99, "kind": "design-store"}'
         )
         with pytest.raises(StoreVersionError, match="schema"):
-            DesignStore(root)
+            JournalStore(root)
 
     def test_non_store_paths_rejected(self, tmp_path):
         target = tmp_path / "file.json"
         target.write_text("{}")
         with pytest.raises(StoreError, match="is a file"):
-            DesignStore(target)
+            JournalStore(target)
         with pytest.raises(StoreError, match="no design store"):
-            DesignStore(tmp_path / "missing", create=False)
+            JournalStore(tmp_path / "missing", create=False)
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "store.json").write_text('{"kind": "something-else"}')
         with pytest.raises(StoreError, match="not a design store"):
-            DesignStore(bad)
+            JournalStore(bad)
 
 
 # ----------------------------------------------------------------------
@@ -239,12 +232,12 @@ class TestWarmStart:
 
     def test_second_process_zero_designer_runs(self, tmp_path, matrix, baseline):
         root = tmp_path / "store"
-        cold = search_once(matrix, store=DesignStore(root))
+        cold = search_once(matrix, store=JournalStore(root))
         assert cold.designer_runs > 0
         assert cold.store_misses == cold.designer_runs
 
         # Fresh engine + fresh handle = a new process, same store path.
-        warm = search_once(matrix, store=DesignStore(root))
+        warm = search_once(matrix, store=JournalStore(root))
         assert warm.designer_runs == 0
         assert warm.store_hits > 0 and warm.store_misses == 0
 
@@ -255,8 +248,8 @@ class TestWarmStart:
 
     def test_warm_start_parallel_identical(self, tmp_path, matrix, baseline):
         root = tmp_path / "store"
-        search_once(matrix, store=DesignStore(root))
-        warm = search_once(matrix, store=DesignStore(root), jobs=4)
+        search_once(matrix, store=JournalStore(root))
+        warm = search_once(matrix, store=JournalStore(root), jobs=4)
         assert warm.designer_runs == 0
         assert history_identity(warm) == history_identity(baseline)
 
@@ -270,13 +263,13 @@ class TestWarmStart:
         bad_graph = OperatorGraph.from_names(["BIN", "GMEM_ATOM_RED"])
         root = tmp_path / "store"
 
-        with SearchEngine(A100, store=DesignStore(root)) as engine:
+        with SearchEngine(A100, store=JournalStore(root)) as engine:
             with pytest.raises(DesignError, match="COMPRESS first"):
                 engine.evaluator.build(matrix, bad_graph)
             designed = engine.builder.designer.executions
             assert designed == 1
 
-        with SearchEngine(A100, store=DesignStore(root)) as fresh:
+        with SearchEngine(A100, store=JournalStore(root)) as fresh:
             with pytest.raises(DesignError, match="COMPRESS first"):
                 fresh.evaluator.build(matrix, bad_graph)
             assert fresh.builder.designer.executions == 0  # replayed
@@ -290,67 +283,62 @@ class TestCorruption:
     def test_truncated_entry_is_a_miss_not_a_crash(self, tmp_path, capsys):
         matrix = banded_matrix(64, bandwidth=2, seed=0, name="m")
         root = tmp_path / "store"
-        search_once(matrix, store=DesignStore(root))
-        entries = sorted((root / "designs").glob("*.json"))
-        assert entries
-        # Truncate one entry mid-payload (simulated torn write from a
-        # crashed process without os.replace) and scribble on another.
-        text = entries[0].read_text()
-        entries[0].write_text(text[: len(text) // 2])
-        if len(entries) > 1:
-            entries[1].write_text('{"schema": 1, "kind": "design"}')
+        search_once(matrix, store=JournalStore(root))
+        # Damage two design records inside intact frames: replay skips
+        # them, so their keys read as misses.
+        damage_record(root, "design", 0)
+        damage_record(root, "design", 1)
 
-        store = DesignStore(root)
+        store = JournalStore(root)
         warm = search_once(matrix, store=store)
         # The damaged designs were re-designed and the search still works.
         assert warm.designer_runs > 0
         assert history_identity(warm) == history_identity(search_once(matrix))
         assert store.stats().corrupt > 0
 
-        # ... and the re-design healed the store: the corrupt entries were
-        # dropped and rewritten, so the next process warm-starts fully.
-        healed = search_once(matrix, store=DesignStore(root))
+        # ... and the re-design healed the store: the damaged keys were
+        # written again, so the next process warm-starts fully.
+        healed = search_once(matrix, store=JournalStore(root))
         assert healed.designer_runs == 0
 
     def test_verify_flags_and_gc_prunes(self, tmp_path):
         matrix = banded_matrix(64, bandwidth=2, seed=0, name="m")
         root = tmp_path / "store"
-        store = DesignStore(root)
+        store = JournalStore(root)
         search_once(matrix, store=store)
-        entry = sorted((root / "designs").glob("*.json"))[0]
-        entry.write_text(entry.read_text()[:40])
+        damage_record(root, "design")
 
-        statuses = DesignStore(root).verify()
+        statuses = JournalStore(root).verify()
         bad = [s for s in statuses if not s.ok]
-        assert len(bad) == 1 and bad[0].kind == "design"
+        assert len(bad) == 1 and bad[0].kind == "journal"
 
-        removed_corrupt, _ = DesignStore(root).gc()
+        removed_corrupt, _ = JournalStore(root).gc()
         assert len(removed_corrupt) == 1
-        assert all(s.ok for s in DesignStore(root).verify())
+        assert all(s.ok for s in JournalStore(root).verify())
 
     def test_corrupt_entry_quarantined_on_first_detection(self, tmp_path):
-        """A damaged entry is moved to ``corrupt/`` the first time it is
-        read — not retried forever, not silently deleted — and the key is
-        healed by the next write-back."""
+        """An entry that fails its read-time check is dropped (a durable
+        ``drop`` record) the first time it is read — not retried forever
+        — and the key is healed by the next write-back."""
         matrix = banded_matrix(16, bandwidth=1, seed=0, name="m")
         token = matrix_token(matrix)
+        other = matrix_token(banded_matrix(16, bandwidth=1, seed=1, name="m"))
         root = tmp_path / "store"
-        store = DesignStore(root)
-        store.put_result(token, "A100", {"best_gflops": 1.0, "via": "search"})
+        store = JournalStore(root)
         digest = store.result_digest(token, "A100")
-        entry = root / "results" / f"{digest}.json"
-        entry.write_text("{broken")
+        # a well-formed entry filed under the wrong matrix's key
+        entry = result_entry_doc(other, "A100", {"best_gflops": 1.0})
+        store._write_locked({"op": "result", "key": digest, "entry": entry})
 
-        reader = DesignStore(root)
+        reader = JournalStore(root)
         assert reader.get_result(token, "A100") is None
-        assert not entry.exists()  # moved, not left to fail again
-        assert (root / "corrupt" / f"{digest}.json").exists()
         assert reader.stats().quarantined == 1
         ((rel, reason),) = reader.quarantine_log
-        assert rel == f"results/{digest}.json" and reason
+        assert rel == f"result/{digest}" and "matrix digest" in reason
         # second read is a plain miss: no re-quarantine, no crash
         assert reader.get_result(token, "A100") is None
         assert reader.stats().quarantined == 1
+        assert JournalStore(root).results() == []  # the drop is durable
         # write-back heals the key
         reader.put_result(token, "A100", {"best_gflops": 2.0, "via": "search"})
         assert reader.get_result(token, "A100")["best_gflops"] == 2.0
@@ -359,16 +347,20 @@ class TestCorruption:
         matrix = banded_matrix(16, bandwidth=1, seed=0, name="m")
         token = matrix_token(matrix)
         root = tmp_path / "store"
-        store = DesignStore(root)
-        store.put_result(token, "A100", {"best_gflops": 1.0, "via": "search"})
-        digest = store.result_digest(token, "A100")
-        (root / "results" / f"{digest}.json").write_text("not json")
+        store = JournalStore(root)
+        digest = store.design_digest(token, ("sig",), "A100")
+        # digest-valid entry whose payload will not hydrate into leaves
+        entry = design_entry_doc(
+            token, ("sig",), "A100", {"status": "ok", "leaves": [{"x": 1}]}
+        )
+        store._write_locked({"op": "design", "key": digest, "entry": entry})
 
-        checker = DesignStore(root)
+        checker = JournalStore(root)
         flagged = [s for s in checker.verify(repair=True) if not s.ok]
         assert len(flagged) == 1
-        assert (root / "corrupt" / f"{digest}.json").exists()
-        assert all(s.ok for s in DesignStore(root).verify())
+        assert checker.quarantine_log[0][0] == f"design/{digest}"
+        assert all(s.ok for s in JournalStore(root).verify())
+        assert JournalStore(root).get_design(token, ("sig",), "A100") is None
 
     def test_gc_prunes_unreferenced_designs(self, tmp_path):
         """Designs with no finished result for their (matrix, arch) are
@@ -376,19 +368,19 @@ class TestCorruption:
         a = banded_matrix(64, bandwidth=2, seed=0, name="a")
         b = banded_matrix(96, bandwidth=2, seed=1, name="b")
         root = tmp_path / "store"
-        store = DesignStore(root)
+        store = JournalStore(root)
         search_once(a, store=store)
         search_once(b, store=store)
         # result recorded only for a → b's designs are unreferenced
         record = make_result_record(a, "A100", 1.0, None)
         store.put_result(matrix_token(a), "A100", record)
-        n_designs_before = len(store._list("designs"))
+        n_designs_before = len(store.design_payloads())
 
-        _, removed = DesignStore(root).gc()
+        _, removed = JournalStore(root).gc()
         assert removed  # b's designs went away
-        after = DesignStore(root)
-        assert len(after._list("designs")) == n_designs_before - len(removed)
-        assert len(after._list("results")) == 1
+        after = JournalStore(root)
+        assert len(after.design_payloads()) == n_designs_before - len(removed)
+        assert len(after.results()) == 1
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +389,7 @@ class TestCorruption:
 class TestConcurrentWriters:
     def test_two_engines_one_store_path(self, tmp_path):
         """Two engines racing on one store directory: no corruption, no
-        temp-file litter, and both searches match the store-less result."""
+        stray files, and both searches match the store-less result."""
         matrix = banded_matrix(128, bandwidth=3, seed=1, name="race")
         root = tmp_path / "store"
         results = {}
@@ -405,7 +397,7 @@ class TestConcurrentWriters:
 
         def run(tag):
             try:
-                results[tag] = search_once(matrix, store=DesignStore(root))
+                results[tag] = search_once(matrix, store=JournalStore(root))
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
@@ -420,7 +412,85 @@ class TestConcurrentWriters:
         reference = search_once(matrix)
         for result in results.values():
             assert history_identity(result) == history_identity(reference)
-        store = DesignStore(root)
+        store = JournalStore(root)
         assert all(s.ok for s in store.verify())
-        assert not list((root / "designs").glob("*.tmp"))
-        assert not list((root / "results").glob("*.tmp"))
+        assert sorted(p.name for p in root.iterdir()) == [
+            "journal.lock", "journal.log", "store.json"
+        ]
+
+
+# ----------------------------------------------------------------------
+# Migration from the retired directory layout
+# ----------------------------------------------------------------------
+LEGACY_STORE = os.path.join(os.path.dirname(__file__), "data", "legacy-store")
+# tests/data/legacy-store was written by the one-file-per-entry store:
+# this search, run with store=<that store>, plus put_result of its
+# search_result_record under the spmv-scoped token.
+LEGACY_BUDGET = SearchBudget(
+    max_structures=4, coarse_evals_per_structure=3, max_total_evals=12
+)
+
+
+def legacy_search(store=None):
+    matrix = banded_matrix(64, bandwidth=2, seed=0, name="legacy64")
+    with SearchEngine(A100, budget=LEGACY_BUDGET, seed=0, store=store) as engine:
+        return engine.search(matrix)
+
+
+def tree_bytes(root):
+    root = pathlib.Path(root)
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+
+
+class TestMigrate:
+    def test_legacy_store_refused_with_the_migrate_command(self):
+        with pytest.raises(StoreVersionError, match="store migrate"):
+            JournalStore(LEGACY_STORE, create=False)
+
+    def test_entries_copied_verbatim_and_old_untouched(self, tmp_path):
+        before = tree_bytes(LEGACY_STORE)
+        migrated, skipped = migrate_store(LEGACY_STORE, tmp_path / "new")
+        assert skipped == []
+        assert migrated == sorted(
+            n for n in before if n.endswith(".json") and "/" in n
+        )
+        assert tree_bytes(LEGACY_STORE) == before  # OLD is read-only
+        state = JournalStore(tmp_path / "new")._state
+        for name in migrated:
+            kind, filename = name.split("/")
+            entries = state.designs if kind == "designs" else state.results
+            assert entries[filename[: -len(".json")]] == json.loads(
+                before[name]
+            )
+        assert state.claims == set()
+
+    def test_migrated_store_warm_starts(self, tmp_path):
+        migrate_store(LEGACY_STORE, tmp_path / "new")
+        warm = legacy_search(store=JournalStore(tmp_path / "new"))
+        assert warm.designer_runs == 0 and warm.store_misses == 0
+        assert history_identity(warm) == history_identity(legacy_search())
+
+    def test_corrupt_entry_reported_and_skipped(self, tmp_path):
+        old = tmp_path / "old"
+        shutil.copytree(LEGACY_STORE, old)
+        victim = sorted((old / "designs").glob("*.json"))[0]
+        victim.write_text(victim.read_text()[:100])
+        before = tree_bytes(old)
+        migrated, skipped = migrate_store(old, tmp_path / "new")
+        ((name, reason),) = skipped
+        assert name == f"designs/{victim.name}" and "JSON" in reason
+        assert len(migrated) == 4
+        assert tree_bytes(old) == before
+        assert len(JournalStore(tmp_path / "new")) == 4
+
+    def test_non_legacy_paths_rejected(self, tmp_path):
+        JournalStore(tmp_path / "journal")
+        with pytest.raises(StoreError, match="not a directory-layout"):
+            migrate_store(tmp_path / "journal", tmp_path / "new")
+        with pytest.raises(StoreError, match="cannot read"):
+            migrate_store(tmp_path / "absent", tmp_path / "new")
+        assert not (tmp_path / "new").exists()

@@ -34,7 +34,7 @@ from repro.search import SearchBudget
 from repro.search.evaluation import matrix_token
 from repro.serve import Frontend
 from repro.sparse import SparseMatrix, corpus
-from repro.store import DesignStore
+from repro.store import JournalStore, result_meta_doc
 from repro.workloads import (
     DEFAULT_WORKLOAD,
     WORKLOADS,
@@ -68,14 +68,28 @@ def _history_digest(result) -> str:
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
-def _tree_digest(root: str) -> str:
+def _entries_digest(store) -> str:
+    """Digest of a store's entry documents, laid out file by file as the
+    one-file-per-entry store that recorded the golden wrote them — so the
+    digest pins entry *content* independently of the on-disk format."""
+    def doc(obj):
+        return (json.dumps(obj, sort_keys=True) + "\n").encode()
+
+    len(store)  # refresh the replayed state
+    state = store._state
+    files = [("store.json", doc({"schema": 1, "kind": "design-store"}))]
+    files += [
+        (f"designs/{digest}.json", doc(entry))
+        for digest, entry in sorted(state.designs.items())
+    ]
+    for digest, entry in sorted(state.results.items()):
+        files.append((f"results/{digest}.json", doc(entry)))
+        meta = result_meta_doc(entry["arch"], entry["payload"])
+        files.append((f"results/{digest}.meta", doc(meta)))
     h = hashlib.blake2b(digest_size=16)
-    for dirpath, _dirs, files in sorted(os.walk(root)):
-        for name in sorted(files):
-            path = os.path.join(dirpath, name)
-            h.update(os.path.relpath(path, root).encode())
-            with open(path, "rb") as fh:
-                h.update(fh.read())
+    for name, data in files:
+        h.update(name.encode())
+        h.update(data)
     return h.hexdigest()
 
 
@@ -230,10 +244,10 @@ class TestSpmvByteIdentity:
         """The acceptance assertion: ``--workload spmv`` reproduces the
         pre-refactor search history and design-store entries byte for
         byte (digests captured at commit c4f5bd4)."""
-        store = DesignStore(tmp_path / "store")
+        store = JournalStore(tmp_path / "store")
         result = self._search(matrix, store=store, workload=get_workload("spmv"))
         assert _history_digest(result) == GOLDEN_HISTORY_DIGEST
-        assert _tree_digest(os.fspath(tmp_path / "store")) == GOLDEN_STORE_DIGEST
+        assert _entries_digest(store) == GOLDEN_STORE_DIGEST
         assert result.workload == "spmv"
 
     def test_identity_across_jobs_and_store(self, matrix, tmp_path):
@@ -242,7 +256,7 @@ class TestSpmvByteIdentity:
         for jobs in (1, 4):
             for use_store in (False, True):
                 store = (
-                    DesignStore(tmp_path / f"s{jobs}{use_store}")
+                    JournalStore(tmp_path / f"s{jobs}{use_store}")
                     if use_store
                     else None
                 )
@@ -300,7 +314,7 @@ class TestNewWorkloadSearches:
     @pytest.mark.parametrize("name", ["spmm16", "spmvt"])
     def test_search_completes_verified(self, matrix, name, tmp_path):
         wl = get_workload(name)
-        store = DesignStore(tmp_path / "store")
+        store = JournalStore(tmp_path / "store")
         engine = SearchEngine(
             A100,
             budget=SearchBudget(**GOLDEN_BUDGET),
@@ -334,7 +348,7 @@ class TestNewWorkloadSearches:
         store_path = tmp_path / "shared"
         digests = {}
         for name in ("spmv", "spmm16", "spmvt"):
-            store = DesignStore(store_path)
+            store = JournalStore(store_path)
             engine = SearchEngine(
                 A100,
                 budget=SearchBudget(max_total_evals=32),
@@ -352,7 +366,7 @@ class TestNewWorkloadSearches:
                 A100,
                 budget=SearchBudget(max_total_evals=32),
                 seed=0,
-                store=DesignStore(store_path),
+                store=JournalStore(store_path),
                 workload=get_workload(name),
             )
             try:
@@ -479,14 +493,14 @@ class TestServeIsolation:
         budget = SearchBudget(
             max_structures=8, coarse_evals_per_structure=6, max_total_evals=48
         )
-        with Frontend(A100, DesignStore(store_path), budget=budget) as f:
+        with Frontend(A100, JournalStore(store_path), budget=budget) as f:
             first = f.resolve(matrix)
         assert first.source == "search"
         # Same matrix, SpMM workload: the stored SpMV result must be
         # invisible (no exact hit, no neighbour transfer of it).
         wl = get_workload("spmm16")
         with Frontend(
-            A100, DesignStore(store_path), budget=budget, workload=wl
+            A100, JournalStore(store_path), budget=budget, workload=wl
         ) as f:
             second = f.resolve(matrix)
             assert second.source == "search"
@@ -494,7 +508,7 @@ class TestServeIsolation:
             assert third.source == "store"
             assert third.gflops == second.gflops
         # The SpMV tier still answers its own record exactly.
-        with Frontend(A100, DesignStore(store_path), budget=budget) as f:
+        with Frontend(A100, JournalStore(store_path), budget=budget) as f:
             again = f.resolve(matrix)
         assert again.source == "store"
         assert again.gflops == first.gflops
