@@ -1,7 +1,7 @@
 """Record the leaf-analysis-cache speedup over the staged-runtime baseline.
 
 Runs the standard-budget corpus searches (the BENCH_search_speed workload)
-serially and with 4 workers, asserts the histories are byte-identical, and
+best-of-N, asserts every repeat's histories are byte-identical, and
 writes the wall clock, the speedup against the *recorded* ``serial_cached``
 baseline (``wall_s = 0.584`` in BENCH_search_speed.json before this
 subsystem landed — the acceptance reference) and the cache/stage accounting to
@@ -64,46 +64,35 @@ def _history_tuple(result):
     return [r.identity() for r in result.history]
 
 
-def _run(jobs: int):
-    """Best-of-REPEATS wall clock for one configuration (fresh engine per
-    repeat so every repeat pays the full cache build).  Matrices are built
-    outside the timed window, matching the bench_search_speed protocol the
-    recorded baseline was measured with."""
+def _run():
+    """Best-of-REPEATS wall clock (fresh engine per repeat so every repeat
+    pays the full cache build), asserting every repeat reproduces the
+    first one's histories.  Matrices are built outside the timed window,
+    matching the bench_search_speed protocol the recorded baseline was
+    measured with."""
     best_wall = float("inf")
     results = None
     for _ in range(REPEATS):
-        engine = SearchEngine(A100, budget=SearchBudget(jobs=jobs), seed=0)
+        engine = SearchEngine(A100, budget=SearchBudget(), seed=0)
         t0 = time.perf_counter()
         with engine:
             out = engine.search_many(MATRICES)
         wall = time.perf_counter() - t0
+        if results is not None:
+            for got, want in zip(out, results):
+                assert _history_tuple(got) == _history_tuple(want), (
+                    f"history diverged between repeats on {want.matrix_name}"
+                )
         if wall < best_wall:
             best_wall, results = wall, out
     return best_wall, results
 
 
 def run_benchmark() -> dict:
-    configs = {
-        "serial_analysis": dict(jobs=1),
-        "jobs4_analysis": dict(jobs=4),
-    }
-    walls = {}
-    outcomes = {}
-    for name, cfg in configs.items():
-        walls[name], outcomes[name] = _run(**cfg)
-        print(f"{name:>20}: {walls[name]:6.3f}s")
+    wall, analysed = _run()
+    walls = {"serial_analysis": wall}
+    print(f"     serial_analysis: {wall:6.3f}s")
 
-    reference = outcomes["serial_analysis"]
-    for name, results in outcomes.items():
-        for got, want in zip(results, reference):
-            assert got.best_gflops == want.best_gflops, (
-                f"{name} diverged on {want.matrix_name}"
-            )
-            assert _history_tuple(got) == _history_tuple(want), (
-                f"{name} history diverged on {want.matrix_name}"
-            )
-
-    analysed = outcomes["serial_analysis"]
     stage_totals: dict = {}
     for result in analysed:
         for stage, seconds in result.stage_times.items():

@@ -1,17 +1,16 @@
-"""Record (or regression-check) the staged-runtime search-speed baseline.
+"""Record (or regression-check) the staged-evaluation search-speed baseline.
 
-Runs one standard-budget search per corpus matrix serially and with 2 and
-4 workers, asserts their search histories agree bit-for-bit, and writes
-best-of-N wall-clock numbers plus cache counters to
+Runs one standard-budget search per corpus matrix, best-of-N, asserts
+every repeat reproduces the same search histories bit-for-bit, and writes
+the best wall-clock number plus cache counters to
 ``BENCH_search_speed.json`` at the repo root.  Not a pytest module: run
 it directly.
 
     PYTHONPATH=src python benchmarks/bench_search_speed.py
 
-``--check`` mode (the CI perf gate) re-measures only the serial
-configuration, best-of-N, and fails — without touching the committed
-JSON — when serial search runs slower than ``--max-regression`` times the
-recorded baseline:
+``--check`` mode (the CI perf gate) re-measures best-of-N and fails —
+without touching the committed JSON — when search runs slower than
+``--max-regression`` times the recorded baseline:
 
     PYTHONPATH=src python benchmarks/bench_search_speed.py --check
 """
@@ -39,8 +38,8 @@ MATRICES = [
 ]
 
 
-def _run(jobs: int, seed: int = 0):
-    engine = SearchEngine(A100, budget=SearchBudget(jobs=jobs), seed=seed)
+def _run(seed: int = 0):
+    engine = SearchEngine(A100, budget=SearchBudget(), seed=seed)
     t0 = time.perf_counter()
     with engine:
         results = engine.search_many(MATRICES)
@@ -53,7 +52,7 @@ def _identities(results):
 
 
 def check(max_regression: float, repeats: int) -> int:
-    """CI perf gate: fail when serial search regresses vs the committed
+    """CI perf gate: fail when search regresses vs the committed
     baseline.  Best-of-``repeats`` damps scheduler noise; the factor
     absorbs machine-to-machine variance (the gate catches algorithmic
     regressions, not hardware differences)."""
@@ -63,13 +62,13 @@ def check(max_regression: float, repeats: int) -> int:
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"cannot load committed baseline {OUT_PATH}: {exc}")
         return 2
-    wall = min(_run(jobs=1)[0] for _ in range(repeats))
+    wall = min(_run()[0] for _ in range(repeats))
     ratio = wall / baseline
     verdict = "ok" if ratio <= max_regression else "REGRESSION"
     print(f"   serial_cached: {wall:6.3f}s vs recorded {baseline:6.3f}s "
           f"({ratio:4.2f}x, limit {max_regression:.1f}x) {verdict}")
     if ratio > max_regression:
-        print(f"serial search regressed >{max_regression:.1f}x")
+        print(f"search regressed >{max_regression:.1f}x")
         return 1
     return 0
 
@@ -80,47 +79,29 @@ def main() -> int:
                         help="compare against the committed baseline "
                              "instead of re-recording it")
     parser.add_argument("--max-regression", type=float, default=2.0,
-                        help="fail --check when serial wall clock exceeds "
+                        help="fail --check when wall clock exceeds "
                              "this multiple of the recorded number")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N runs per configuration in --check")
+                        help="best-of-N runs in --check")
     parser.add_argument("--record-repeats", type=int, default=5,
-                        help="best-of-N runs per configuration when "
-                             "recording the baseline")
+                        help="best-of-N runs when recording the baseline")
     args = parser.parse_args()
     if args.check:
         return check(args.max_regression, args.repeats)
-    configs = {
-        "serial_cached": dict(jobs=1),
-        "jobs2_cached": dict(jobs=2),
-        "jobs4_cached": dict(jobs=4),
-    }
-    walls = {}
-    outcomes = {}
-    for name, cfg in configs.items():
-        wall = float("inf")
-        for _ in range(max(1, args.record_repeats)):
-            one_wall, results = _run(**cfg)
-            wall = min(wall, one_wall)
-        walls[name] = wall
-        outcomes[name] = results
-        print(f"{name:>16}: {wall:6.2f}s  "
-              f"designs={sum(r.designer_runs for r in results)}  "
-              f"evals={sum(r.total_evaluations for r in results)}")
-
-    # Bit-for-bit agreement: every worker count must reproduce the exact
-    # candidate-by-candidate search history of the serial loop (agreement
-    # with an uncached per-candidate evaluation is a tier-1 test).
-    cached = outcomes["serial_cached"]
+    wall, cached = _run()
+    # Bit-for-bit agreement: every repeat must reproduce the exact
+    # candidate-by-candidate search history of the first (agreement with
+    # an uncached per-candidate evaluation is a tier-1 test).
     reference_ids = _identities(cached)
-    for name, results in outcomes.items():
+    for _ in range(max(1, args.record_repeats) - 1):
+        one_wall, results = _run()
         assert _identities(results) == reference_ids, (
-            f"{name} search history diverged from serial_cached"
+            "search history diverged between repeats"
         )
-        for got, want in zip(results, cached):
-            assert got.best_gflops == want.best_gflops, (
-                f"{name} diverged on {want.matrix_name}"
-            )
+        wall = min(wall, one_wall)
+    print(f"   serial_cached: {wall:6.2f}s  "
+          f"designs={sum(r.designer_runs for r in cached)}  "
+          f"evals={sum(r.total_evaluations for r in cached)}")
 
     total_evaluations = sum(r.total_evaluations for r in cached)
     designer_runs = sum(r.designer_runs for r in cached)
@@ -129,9 +110,9 @@ def main() -> int:
         "python": platform.python_version(),
         "budget": "SearchBudget() defaults",
         "matrices": [m.name for m in MATRICES],
-        "wall_s": {k: round(v, 3) for k, v in walls.items()},
+        "wall_s": {"serial_cached": round(wall, 3)},
         "searches_per_min": {
-            k: round(len(MATRICES) * 60.0 / v, 1) for k, v in walls.items()
+            "serial_cached": round(len(MATRICES) * 60.0 / wall, 1)
         },
         "total_evaluations": total_evaluations,
         "designer_runs": {"cached": designer_runs},

@@ -74,7 +74,7 @@ def render_search_summary(results: Sequence[object], title: str = "") -> str:
             res.wall_time_s,
         ])
     return render_table(
-        title or "Search summary (shared engine, design cache and pool)",
+        title or "Search summary (shared engine and design cache)",
         ["matrix", "GFLOPS", "evals", "structs", "designs", "cache hit", "wall s"],
         rows,
     )

@@ -3,7 +3,7 @@
 The paper's headline numbers are corpus-level: geomean speedups over
 PFS/cuSPARSE across hundreds of SuiteSparse matrices.  This package turns
 the per-matrix building blocks (baseline measurement, the staged search
-runtime) into a corpus pipeline:
+evaluator) into a corpus pipeline:
 
 :class:`~repro.bench.store.ResultStore`
     Incremental JSON persistence — every finished matrix is flushed to
@@ -11,16 +11,15 @@ runtime) into a corpus pipeline:
 
 :class:`~repro.bench.runner.CorpusRunner`
     Drives baselines + design search per matrix over one shared
-    :class:`~repro.search.engine.SearchEngine` (one design cache, one
-    worker pool), caching each matrix's reference SpMV so it is computed
-    once, not once per baseline.
+    :class:`~repro.search.engine.SearchEngine` (one design cache), caching
+    each matrix's reference SpMV so it is computed once, not once per
+    baseline.
 
 :mod:`~repro.bench.aggregate`
     Renders the paper's corpus tables from a store: per-baseline geomean
     speedups, the Fig 10 histogram, §VII-G creativity-class counts.
 
-CLI entry point: ``python -m repro bench <matrices...> [--jobs N]
-[--resume PATH]``.
+CLI entry point: ``python -m repro bench <matrices...> [--resume PATH]``.
 """
 
 from repro.bench.store import (

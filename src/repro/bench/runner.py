@@ -1,13 +1,10 @@
 """Corpus runner: baselines + design search for every matrix of a collection.
 
 One :class:`CorpusRunner` drives the whole paper-§VII pipeline over a
-matrix collection with the staged evaluation runtime underneath:
+matrix collection with the staged evaluator underneath:
 
 * one shared :class:`~repro.search.engine.SearchEngine` — every search
-  reuses the same design cache and worker pool, exactly like
-  ``SearchEngine.search_many``;
-* the independent baseline measurements of each matrix are sharded over
-  that same :class:`~repro.search.evaluation.EvaluationRuntime` pool;
+  reuses the same design cache, exactly like ``SearchEngine.search_many``;
 * each matrix's dense input vector and reference SpMV are computed once
   and shared by all of its baselines (and the PFS oracle is derived from
   the same measurements instead of re-running the member kernels);
@@ -71,9 +68,8 @@ class CorpusRunResult:
 class CorpusRunner:
     """Run the full per-matrix evaluation over a collection, resumably.
 
-    ``engine`` may be injected to share a cache/pool beyond one runner
-    (mirroring ``SearchEngine``'s injectable runtime); an injected engine
-    is the caller's to close.
+    ``engine`` may be injected to share a design cache beyond one runner;
+    an injected engine is the caller's to close.
 
     ``design_store`` additionally persists every search to a
     :class:`~repro.store.journal.JournalStore`: designs are written through
@@ -137,7 +133,6 @@ class CorpusRunner:
         """The comparability contract a result store pins.
 
         Every result-affecting knob is included: the full search budget
-        (minus ``jobs`` — worker count changes wall clock, never results)
         and the engine's search-space switches.  Two runs with equal
         configs produce identical records for the same matrix.
         """
@@ -256,7 +251,6 @@ class CorpusRunner:
             self.baselines,
             x=x,
             reference=reference,
-            runtime=self.engine.runtime,
             workload=self.workload,
         )
 

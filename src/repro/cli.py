@@ -7,18 +7,18 @@ implementation" (§III).
 Commands::
 
     python -m repro search <matrix.mtx | @named> [more matrices ...]
-                           [--gpu A100] [--evals N] [--jobs N] [--profile]
+                           [--gpu A100] [--evals N] [--profile]
                            [--workload spmv|spmm4|spmm16|spmvt]
                            [--out DIR] [--store DIR] [--warm-start]
                            [--no-pruning] [--extensions] [--seed S]
     python -m repro baselines <matrix.mtx | @named> [--gpu A100]
                               [--workload NAME]
     python -m repro bench <matrix.mtx | @named | @corpus:N> [more ...]
-                          [--gpu A100] [--evals N] [--jobs N] [--seed S]
+                          [--gpu A100] [--evals N] [--seed S]
                           [--workload NAME] [--resume PATH] [--store DIR]
                           [--warm-start]
     python -m repro serve <matrix.mtx | @named> [more ...] --store DIR
-                          [--gpu A100] [--evals N] [--jobs N]
+                          [--gpu A100] [--evals N]
                           [--workers N] [--deadline S] [--workload NAME]
                           [--out DIR]
     python -m repro store {ls | gc | verify | compact} DIR [--repair]
@@ -30,8 +30,8 @@ Commands::
     python -m repro matrices
 
 ``@name`` selects one of the built-in named matrices (e.g. ``@scfxm1-2r``).
-``search`` accepts several matrices; they share one engine, one design
-cache and one worker pool (``--jobs``) and print a collection summary.
+``search`` accepts several matrices; they share one engine and one design
+cache and print a collection summary.
 ``bench`` runs the corpus pipeline — every baseline *and* the design
 search per matrix — and prints the paper's corpus tables; ``--resume
 PATH`` persists per-matrix results incrementally so an interrupted run
@@ -75,6 +75,7 @@ store directory never cross-serve.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -150,20 +151,36 @@ def _workload_arg(value: str) -> Workload:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _jobs_arg(value: str) -> int:
-    """argparse type for ``--jobs``: rejects non-integers and values < 1
-    with a clean usage error instead of a runtime traceback."""
+def _workers_arg(value: str) -> int:
+    """argparse type for ``serve --workers``: rejects non-integers and
+    negative counts with a clean usage error (0 = in-process frontend)."""
     try:
-        jobs = int(value)
+        workers = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer worker count, got {value!r}"
         ) from None
-    if jobs < 1:
+    if workers < 0:
         raise argparse.ArgumentTypeError(
-            f"worker count must be >= 1, got {jobs}"
+            f"worker count must be >= 0, got {workers}"
         )
-    return jobs
+    return workers
+
+
+def _deadline_arg(value: str) -> float:
+    """argparse type for ``serve --deadline``: a finite number of seconds
+    above zero (a non-positive deadline would kill every dispatch)."""
+    try:
+        deadline = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a deadline in seconds, got {value!r}"
+        ) from None
+    if not (math.isfinite(deadline) and deadline > 0):
+        raise argparse.ArgumentTypeError(
+            f"deadline must be a finite number of seconds > 0, got {value}"
+        )
+    return deadline
 
 
 def _sampler_arg(value: str):
@@ -179,7 +196,7 @@ def _sampler_arg(value: str):
 
 def _sampler_seed_arg(value: str) -> int:
     """argparse type for ``--sampler-seed``: rejects non-integers with a
-    clean usage error (mirrors ``--jobs``)."""
+    clean usage error (mirrors ``--workers``)."""
     try:
         return int(value)
     except ValueError:
@@ -197,7 +214,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise SystemExit("--warm-start requires --store DIR")
     engine = SearchEngine(
         gpu,
-        budget=SearchBudget(max_total_evals=args.evals, jobs=args.jobs),
+        budget=SearchBudget(max_total_evals=args.evals),
         seed=args.seed,
         enable_pruning=not args.no_pruning,
         enable_extensions=args.extensions,
@@ -283,15 +300,8 @@ def _render_profile(result) -> str:
     times = dict(result.stage_times)
     accounted = sum(times.get(s, 0.0) for s in stages)
     rows = [[s, f"{times.get(s, 0.0) * 1e3:.1f}"] for s in stages]
-    note = ""
-    if result.jobs > 1:
-        # Pooled stage times accumulate across workers like CPU time, so
-        # they don't reconcile against wall clock — skip the residual row.
-        note = (f"\nstage times are CPU-style sums over {result.jobs} "
-                "workers and may exceed wall clock")
-    else:
-        rows.append(["other (search overhead)",
-                     f"{max(0.0, result.wall_time_s - accounted) * 1e3:.1f}"])
+    rows.append(["other (search overhead)",
+                 f"{max(0.0, result.wall_time_s - accounted) * 1e3:.1f}"])
     rows.append(["total wall", f"{result.wall_time_s * 1e3:.1f}"])
     table = render_table(
         f"Stage timing for {result.matrix_name} (ms)",
@@ -300,19 +310,17 @@ def _render_profile(result) -> str:
     )
     return (
         table
-        + note
         + f"\nleaf-analysis cache: {result.analysis_cache_hits} hits / "
           f"{result.analysis_cache_misses} misses (design-level lookups)"
     )
 
 
 def _search_collection(engine, matrices, specs, gpu, args) -> int:
-    """Multi-matrix mode: one engine, one cache, one pool, one summary."""
+    """Multi-matrix mode: one engine, one cache, one summary."""
     results = engine.search_many(matrices)
     print(render_search_summary(
         results,
-        title=f"Search summary on {gpu.name} model "
-              f"(jobs={engine.runtime.jobs}, shared design cache)",
+        title=f"Search summary on {gpu.name} model (shared design cache)",
     ))
     if args.profile:
         for result in results:
@@ -377,7 +385,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise SystemExit("--warm-start requires --store DIR")
     runner = CorpusRunner(
         gpu,
-        budget=SearchBudget(max_total_evals=args.evals, jobs=args.jobs),
+        budget=SearchBudget(max_total_evals=args.evals),
         seed=args.seed,
         store=store,
         progress=print,
@@ -420,7 +428,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     gpu = args.gpu
     store = _open_store(args.store)
     budget = dataclasses.replace(
-        default_serve_budget(jobs=args.jobs), max_total_evals=args.evals
+        default_serve_budget(), max_total_evals=args.evals
     )
     summary = ""
     if args.workers > 0:
@@ -436,7 +444,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    f"{pstats.degraded} degraded")
     else:
         with Frontend(gpu, store, budget=budget, seed=args.seed,
-                      jobs=args.jobs, workload=args.workload) as frontend:
+                      workload=args.workload) as frontend:
             responses = frontend.resolve_batch(matrices)
             stats = frontend.stats()
         summary = (f"frontend: {stats.exact_hits} exact / "
@@ -786,14 +794,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search a machine-designed format+kernel")
     p.add_argument("matrix", nargs="+",
                    help="Matrix Market path(s) or @named-matrix(es); several "
-                        "matrices share one engine, cache and worker pool")
+                        "matrices share one engine and design cache")
     p.add_argument("--gpu", type=_gpu_arg, default="A100")
     p.add_argument("--evals", type=int, default=200,
                    help="max program evaluations")
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
-                   help="evaluation workers (1 = serial loop; N > 1 gives "
-                        "identical results for eval-count budgets like "
-                        "--evals, less wall clock)")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
                    help="operation to tune for: "
@@ -843,9 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpu", type=_gpu_arg, default="A100")
     p.add_argument("--evals", type=int, default=160,
                    help="max search evaluations per matrix")
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
-                   help="evaluation workers shared by baseline measurement "
-                        "and the search (identical results for any value)")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
                    help="operation every baseline and search measures: "
@@ -878,9 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpu", type=_gpu_arg, default="A100")
     p.add_argument("--evals", type=int, default=96,
                    help="evaluation budget of the bounded fallback search")
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
-                   help="worker pool shared by batched request resolution "
-                        "and fallback searches")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
                    help="operation requests are resolved for (store keys "
@@ -888,12 +886,12 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(sorted(WORKLOADS))
                         + " (default: spmv)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=0, metavar="N",
+    p.add_argument("--workers", type=_workers_arg, default=0, metavar="N",
                    help="N >= 1: serve through a supervised pool of N "
                         "resolver processes (crash restart, deadlines, "
                         "graceful degradation); 0: in-process frontend "
                         "(default)")
-    p.add_argument("--deadline", type=float, default=30.0, metavar="S",
+    p.add_argument("--deadline", type=_deadline_arg, default=30.0, metavar="S",
                    help="per-request wall-clock deadline under --workers; "
                         "a worker past it is killed and the request "
                         "re-dispatched one degradation tier down")

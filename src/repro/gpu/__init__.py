@@ -21,7 +21,7 @@ Public entry points:
 """
 
 from repro.gpu.analysis import (
-    AnalysisStats,
+    CacheStats,
     DesignAnalysis,
     LeafAnalysis,
     LeafAnalysisCache,
@@ -42,7 +42,7 @@ from repro.gpu.memory import (
 )
 
 __all__ = [
-    "AnalysisStats",
+    "CacheStats",
     "DesignAnalysis",
     "LeafAnalysis",
     "LeafAnalysisCache",

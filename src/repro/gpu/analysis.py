@@ -35,7 +35,7 @@ incremental across a leaf's runtime grid:
 
 Everything cached is the output of a deterministic function of the leaf
 plus explicit key scalars, so search histories are byte-identical whether
-the analysis cache is on or off, serial or pooled.  Cached arrays are
+the analysis cache is on or off.  Cached arrays are
 handed out read-only; treat every returned object as immutable.
 """
 
@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "AnalysisStats",
+    "CacheStats",
     "DesignAnalysis",
     "DistResult",
     "LeafAnalysis",
@@ -104,8 +104,13 @@ class DistResult:
 
 
 @dataclass(frozen=True)
-class AnalysisStats:
-    """Design-level counters of one :class:`LeafAnalysisCache`."""
+class CacheStats:
+    """Hit/miss/eviction counters of one keyed cache.
+
+    Shared by :class:`LeafAnalysisCache` and
+    :class:`repro.search.evaluation.DesignCache` (where misses equal
+    Designer executions).
+    """
 
     hits: int = 0
     misses: int = 0
@@ -119,8 +124,9 @@ class AnalysisStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def since(self, other: "AnalysisStats") -> "AnalysisStats":
-        return AnalysisStats(
+    def since(self, other: "CacheStats") -> "CacheStats":
+        """Delta of two snapshots (per-search accounting)."""
+        return CacheStats(
             hits=self.hits - other.hits,
             misses=self.misses - other.misses,
             evictions=self.evictions - other.evictions,
@@ -132,9 +138,9 @@ class LeafAnalysis:
 
     All methods take a ``compute`` closure so this class stays free of
     builder/executor imports (those modules import *us*).  The lock only
-    guards dict lookups/inserts — closures run outside it, so candidates
-    of one leaf keep evaluating in parallel under a worker pool.  Two
-    workers racing on a cold key may both compute; every closure is a
+    guards dict lookups/inserts — closures run outside it, so threads
+    sharing an engine keep evaluating one leaf in parallel.  Two
+    threads racing on a cold key may both compute; every closure is a
     deterministic function of the key, so ``setdefault`` keeps the first
     result and the duplicate is discarded unseen.
     """
@@ -380,9 +386,9 @@ class LeafAnalysisCache:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple, DesignAnalysis]" = OrderedDict()
-        self._stats = AnalysisStats()
+        self._stats = CacheStats()
 
-    def stats(self) -> AnalysisStats:
+    def stats(self) -> CacheStats:
         with self._lock:
             return replace(self._stats)
 
@@ -401,7 +407,7 @@ class LeafAnalysisCache:
 
     def for_design(self, key: Tuple) -> DesignAnalysis:
         """The design's analysis, created on first request (one miss per
-        design — deterministic under any worker count)."""
+        design, even when threads race on it)."""
         with self._lock:
             analysis = self._entries.get(key)
             if analysis is None:

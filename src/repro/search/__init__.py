@@ -19,7 +19,6 @@ from repro.search.engine import SearchBudget, SearchEngine, SearchResult, EvalRe
 from repro.search.evaluation import (
     CacheStats,
     DesignCache,
-    EvaluationRuntime,
     StagedEvaluator,
     StageTimings,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "EvalRecord",
     "CacheStats",
     "DesignCache",
-    "EvaluationRuntime",
     "StagedEvaluator",
     "StageTimings",
     "GradientBoostedTrees",

@@ -151,10 +151,9 @@ class BatchEvaluator:
     """Evaluates one design group of candidates as a single pass.
 
     Built by the engine from its staged evaluator, whose design and
-    leaf-analysis caches it reads.  One ``evaluate_group`` call is one work
-    unit of the evaluation runtime, so ``--jobs`` shards groups, not candidates;
-    the group's representative graph is private to the call, keeping
-    pooled execution race-free.
+    leaf-analysis caches it reads.  The group's representative graph is
+    private to each ``evaluate_group`` call, so concurrent calls from
+    caller threads sharing an engine do not race on it.
     """
 
     def __init__(self, evaluator, gpu: GPUSpec, workload: Workload) -> None:

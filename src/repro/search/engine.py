@@ -13,13 +13,12 @@ Every candidate is measured by one path,
 :meth:`~repro.search.batcheval.BatchEvaluator.evaluate_group`: a
 structure's parameter assignments are grouped by design identity, design
 leaves are computed once per structure signature and reused across the
-whole runtime-parameter grid (the staged runtime of
-:mod:`repro.search.evaluation`), and the groups are evaluated as an
-ordered batch over an optional worker pool (``SearchBudget.jobs``).
-Serve-tier neighbour transfers go through the same call.  The engine holds no
-per-search mutable state — schedules and RNGs are created per
-:meth:`SearchEngine.search` call — so one engine (one cache, one pool) can
-drive many searches, including the collection-level
+whole runtime-parameter grid (the staged evaluator of
+:mod:`repro.search.evaluation`), and the groups are evaluated in order, one
+after another.  Serve-tier neighbour transfers go through the same call.
+The engine holds no per-search mutable state — schedules and RNGs are
+created per :meth:`SearchEngine.search` call — so one engine (one cache)
+can drive many searches, including the collection-level
 :meth:`SearchEngine.search_many` driver used by the CLI and the benchmark
 harness.
 """
@@ -45,7 +44,6 @@ from repro.search.batcheval import (
     group_candidates,
 )
 from repro.search.evaluation import (
-    EvaluationRuntime,
     StagedEvaluator,
     StageTimings,
     matrix_token,
@@ -88,13 +86,10 @@ class SearchBudget:
     The paper caps searches at 8 hours of kernel runs; here the analogous
     hard caps are evaluation counts (each evaluation builds and runs one
     generated program).  ``max_total_evals`` bounds coarse *and* fine
-    evaluations together.  ``jobs`` selects the evaluation worker count:
-    1 is a deterministic serial loop, >1 evaluates each structure's
-    parameter batch on a thread pool — identical results, less wall
-    clock, for count-budgeted searches.  With ``time_limit_s`` set the
-    evaluation count at the deadline depends on wall clock (and, pooled,
-    on batches completing in flight), so time-limited histories are not
-    reproducible under any ``jobs`` setting.
+    evaluations together.  With ``time_limit_s`` set the evaluation count
+    at the deadline depends on wall clock (the limit is checked before
+    each design group), so time-limited histories are not reproducible;
+    count-budgeted searches are.
 
     ``ml_min_samples`` defaults to the size of the coarse runtime grid
     (``SET_RESOURCES``: 3 thread counts x 2 work grains) — the sample
@@ -109,7 +104,6 @@ class SearchBudget:
     ml_fine_cap: int = 256
     ml_min_samples: int = 6
     time_limit_s: Optional[float] = None
-    jobs: int = 1
 
 
 @dataclass
@@ -126,7 +120,7 @@ class EvalRecord:
 
     def identity(self) -> Tuple:
         """Hashable form of every result-bearing field — the byte-identity
-        contract the cache/parallelism tests and benchmarks compare on."""
+        contract the cache/store identity tests and benchmarks compare on."""
         return (
             self.iteration,
             self.structure_sig,
@@ -159,7 +153,6 @@ class SearchResult:
     designer_runs: int = 0
     design_cache_hits: int = 0
     design_cache_misses: int = 0
-    jobs: int = 1
     #: leaf-analysis cache counters (design-level lookups) and the
     #: per-stage wall-time breakdown (design / batch_assembly /
     #: batch_cost / verify / ml, plus assembly / project for the
@@ -255,8 +248,8 @@ class _SearchState:
 class SearchEngine:
     """Drives AlphaSparse: enumerate, measure, interpolate, stop.
 
-    Safe to reuse (and, with ``jobs > 1``, shares one worker pool and one
-    design cache) across many searches; see :meth:`search_many`.
+    Safe to reuse (sharing one design cache) across many searches; see
+    :meth:`search_many`.
     """
 
     def __init__(
@@ -270,7 +263,6 @@ class SearchEngine:
         enable_extensions: bool = False,
         enable_seeding: bool = True,
         enable_static_pruning: bool = True,
-        runtime: Optional[EvaluationRuntime] = None,
         store: Optional[JournalStore] = None,
         workload: Optional[Workload] = None,
         sampler: Optional[object] = None,
@@ -331,18 +323,10 @@ class SearchEngine:
         #: search seeds itself from the closest prior winner's graph,
         #: injected as an iteration-0 candidate before the ask/tell loop.
         self.warm_start_store = warm_start_store
-        #: ``runtime`` injection lets many engines share one worker pool
-        #: (the benchmark harness does this); an injected runtime is the
-        #: caller's to close.
-        self._owns_runtime = runtime is None
-        self.runtime = runtime or EvaluationRuntime(jobs=self.budget.jobs)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pool (unless the runtime was injected and
-        so is the caller's) and free the leaf-analysis memos."""
-        if self._owns_runtime:
-            self.runtime.close()
+        """Free the leaf-analysis memos."""
         self.evaluator.analysis.clear()
 
     def __enter__(self) -> "SearchEngine":
@@ -359,7 +343,7 @@ class SearchEngine:
     ) -> List[SearchResult]:
         """Collection-level driver: search every matrix with this engine.
 
-        All searches share the engine's design cache and worker pool —
+        All searches share the engine's design cache —
         the way the benchmark harness reproduces whole paper figures.
         ``seeds`` optionally overrides the engine seed per matrix.
         """
@@ -509,7 +493,6 @@ class SearchEngine:
             designer_runs=designer_runs,
             design_cache_hits=cache_delta.hits,
             design_cache_misses=cache_delta.misses,
-            jobs=self.runtime.jobs,
             analysis_cache_hits=analysis_delta.hits,
             analysis_cache_misses=analysis_delta.misses,
             stage_times=stage_times,
@@ -642,22 +625,23 @@ class SearchEngine:
         """Fully measure candidates as one ordered batch.
 
         The batch is truncated to the remaining evaluation budget up front
-        (so ``max_total_evals`` holds under any worker count) and results
-        fold into the search state in submission order, keeping histories
-        byte-identical between serial and pooled execution.
+        (so ``max_total_evals`` holds) and results fold into the search
+        state in submission order.
 
         Candidates sharing a design signature are grouped and each group
-        evaluates as one vectorized pass — a work unit of the runtime, so
-        ``--jobs`` shards groups, not candidates.  Results scatter back
-        into submission order; a group cut off by the time limit leaves
-        holes, which only occurs where reproducibility is already waived.
+        evaluates as one vectorized pass.  The time limit is checked
+        before each group, so a search stops at a group boundary.  Results
+        scatter back into submission order; groups cut off by the time
+        limit leave holes, which only occurs where reproducibility is
+        already waived.
         """
         room = self.budget.max_total_evals - state.evals
         batch = list(candidates)[: max(0, room)]
-        groups = group_candidates(proposal, batch)
-
-        def run_group(group):
-            return self.batch.evaluate_group(
+        results = [None] * len(batch)
+        for group in group_candidates(proposal, batch):
+            if state.time_up():
+                break
+            outs = self.batch.evaluate_group(
                 matrix,
                 proposal,
                 group.assignments,
@@ -666,10 +650,6 @@ class SearchEngine:
                 state.reference,
                 state.verify_key,
             )
-
-        group_results = self.runtime.map(run_group, groups, stop=state.time_up)
-        results = [None] * len(batch)
-        for group, outs in zip(groups, group_results):
             for position, out in zip(group.indices, outs):
                 results[position] = out
 

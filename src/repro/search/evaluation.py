@@ -1,10 +1,10 @@
-"""Staged evaluation runtime: cached design reuse + parallel evaluation.
+"""Staged evaluation: cached design reuse + incremental plan analysis.
 
 The three-level search evaluates hundreds of candidate designs per matrix.
 Most of those candidates share a graph *structure* and differ only in
 scalar parameters, yet a naive evaluator re-runs the Designer over the full
 metadata set for every one of them.  This module makes candidate evaluation
-a first-class subsystem with three pieces:
+a first-class subsystem with two pieces:
 
 :class:`DesignCache`
     Content-addressed cache of Designer output keyed on
@@ -13,7 +13,7 @@ a first-class subsystem with three pieces:
     :func:`repro.core.kernel.builder.design_signature`).  Hit/miss counters
     are surfaced in :class:`~repro.search.engine.SearchResult`.  Concurrent
     misses of the same key run the Designer exactly once (per-entry locks),
-    so counters are deterministic under any worker count.
+    so an engine shared across caller threads keeps exact counters.
 
 :class:`StagedEvaluator`
     Splits ``KernelBuilder.build`` into the structure-level design phase
@@ -31,16 +31,6 @@ a first-class subsystem with three pieces:
     back.  Stored leaves decode bit-exactly, so search histories are
     byte-identical store-on vs store-off, and a second search of the same
     matrix in a *fresh process* performs zero Designer runs.
-
-:class:`EvaluationRuntime`
-    Maps an evaluation function over a candidate batch — a
-    ``concurrent.futures`` thread pool when ``jobs > 1``, a deterministic
-    serial loop otherwise.  Results always return in submission order, so
-    search trajectories are identical for every ``jobs`` setting.  Work
-    units are whole design groups: the engine hands one
-    :class:`~repro.search.batcheval.CandidateGroup` per dispatch to
-    :mod:`repro.search.batcheval`, so ``--jobs`` shards groups, not
-    candidates.
 """
 
 from __future__ import annotations
@@ -48,15 +38,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.designer import DesignError, DesignLeaf
 from repro.core.graph import GraphValidationError, OperatorGraph
 from repro.core.kernel.builder import BuildError, KernelBuilder, design_signature
 from repro.core.kernel.program import GeneratedProgram
-from repro.gpu.analysis import LeafAnalysisCache, content_digest
+from repro.gpu.analysis import CacheStats, LeafAnalysisCache, content_digest
 from repro.gpu.arch import GPUSpec
 from repro.gpu.cost import CostModel
 from repro.gpu.executor import PlanValidationError, plan_cost_inputs
@@ -67,14 +56,9 @@ __all__ = [
     "CacheStats",
     "DesignCache",
     "StagedEvaluator",
-    "EvaluationRuntime",
     "StageTimings",
     "matrix_token",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
 
 def matrix_token(matrix: SparseMatrix) -> Tuple:
     """Content-address of a matrix: name, shape and a triplet digest.
@@ -88,31 +72,6 @@ def matrix_token(matrix: SparseMatrix) -> Tuple:
     """
     digest = content_digest(matrix.rows, matrix.cols, matrix.vals)
     return (matrix.name, matrix.n_rows, matrix.n_cols, matrix.nnz, digest)
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Counters of one :class:`DesignCache` (misses == Designer executions)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def since(self, other: "CacheStats") -> "CacheStats":
-        """Delta of two snapshots (per-search accounting)."""
-        return CacheStats(
-            hits=self.hits - other.hits,
-            misses=self.misses - other.misses,
-            evictions=self.evictions - other.evictions,
-        )
 
 
 class _CacheEntry:
@@ -212,8 +171,8 @@ class DesignCache:
 class StageTimings:
     """Thread-safe accumulator of per-stage wall time.
 
-    Under a worker pool, concurrent stage time adds up like CPU time —
-    stage sums may exceed elapsed wall clock.  Snapshots are plain dicts;
+    When caller threads share an engine, concurrent stage time adds up
+    like CPU time.  Snapshots are plain dicts;
     :meth:`since` turns two snapshots into a per-search delta.
     """
 
@@ -399,76 +358,3 @@ class StagedEvaluator:
             else 2.0 * program.useful_nnz
         )
         return float(wl_flops / total / 1e9)
-
-
-class EvaluationRuntime:
-    """Ordered batch evaluation with an optional shared worker pool.
-
-    ``jobs == 1`` (the default) is a plain serial loop; ``jobs > 1`` lazily
-    creates one ``ThreadPoolExecutor`` that is reused across every batch —
-    and, via :meth:`SearchEngine.search_many`, across every matrix of a
-    collection.  Both paths return results in submission order, and
-    evaluation tasks draw no random numbers, so search results are
-    identical for every ``jobs`` setting — except under a wall-clock
-    ``stop`` condition (``SearchBudget.time_limit_s``): both paths poll
-    ``stop`` between dispatches and may cut a batch short, but work already
-    dispatched to the pool always completes.  Time-limited runs are
-    wall-clock-dependent and not reproducible even serially, so only
-    count-budgeted searches carry the identity guarantee.
-    """
-
-    def __init__(self, jobs: int = 1) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = int(jobs)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        items: Sequence[_T],
-        stop: Optional[Callable[[], bool]] = None,
-    ) -> List[_R]:
-        """Apply ``fn`` to every item, in order.
-
-        ``stop`` is polled between dispatches on both paths (time-budget
-        checks) — serial between item evaluations, pooled between submits;
-        items already submitted to the pool always complete.
-        """
-        items = list(items)
-        if self.jobs == 1 or len(items) <= 1:
-            out: List[_R] = []
-            for item in items:
-                if stop is not None and stop():
-                    break
-                out.append(fn(item))
-            return out
-        pool = self._ensure_pool()
-        futures = []
-        for item in items:
-            if stop is not None and stop():
-                break
-            futures.append(pool.submit(fn, item))
-        return [future.result() for future in futures]
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.jobs, thread_name_prefix="repro-eval"
-                )
-            return self._pool
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-    def __enter__(self) -> "EvaluationRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -41,7 +41,7 @@ Four samplers ship:
 
 Adaptive samplers (everything but the annealer) draw only from their own
 seeded RNG inside ``ask``/``tell`` — never during evaluation — so ask
-sequences are byte-identical across any ``jobs`` setting, and they opt in
+sequences are byte-identical with the design store on or off, and they opt in
 to successive-halving eval pruning (``prunes = True``): the engine
 projects candidate costs cheaply and fully measures only rung survivors
 (see :class:`~repro.search.pruning.SuccessiveHalvingPruner`).

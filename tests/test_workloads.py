@@ -8,12 +8,13 @@ Four acceptance bars:
 * the default SpMV workload must be a *pure generalisation*: search
   histories and design-store entries are byte-identical to the
   pre-workload-layer code (golden digests captured from the seed revision
-  before the refactor), across jobs 1/4 x store on/off;
+  before the refactor), with the store on and off;
 * SpMM / transpose-SpMV searches must complete with verified-correct
   results and populate per-workload store keys that never collide with
   SpMV's;
-* the CLI hardening satellites: ``--jobs`` rejects values < 1 cleanly and
-  an unknown ``--workload`` lists the registered workloads.
+* the CLI hardening satellites: ``serve --workers`` / ``--deadline``
+  reject out-of-range and non-numeric values cleanly and an unknown
+  ``--workload`` lists the registered workloads.
 """
 
 import hashlib
@@ -224,12 +225,12 @@ class TestSpmvByteIdentity:
     def matrix(self):
         return named_matrix(GOLDEN_MATRIX)
 
-    def _search(self, matrix, jobs=1, store=None, workload=None):
+    def _search(self, matrix, store=None, workload=None):
         # Static pruning is pinned off: these goldens define the
         # pre-verifier bytes, which pruning-off must keep reproducing.
         engine = SearchEngine(
             A100,
-            budget=SearchBudget(jobs=jobs, **GOLDEN_BUDGET),
+            budget=SearchBudget(**GOLDEN_BUDGET),
             seed=0,
             store=store,
             workload=workload,
@@ -250,20 +251,15 @@ class TestSpmvByteIdentity:
         assert _entries_digest(store) == GOLDEN_STORE_DIGEST
         assert result.workload == "spmv"
 
-    def test_identity_across_jobs_and_store(self, matrix, tmp_path):
+    def test_identity_across_store(self, matrix, tmp_path):
         baseline = self._search(matrix)
         ids = [r.identity() for r in baseline.history]
-        for jobs in (1, 4):
-            for use_store in (False, True):
-                store = (
-                    JournalStore(tmp_path / f"s{jobs}{use_store}")
-                    if use_store
-                    else None
-                )
-                result = self._search(matrix, jobs=jobs, store=store)
-                assert [r.identity() for r in result.history] == ids, (
-                    f"jobs={jobs} store={use_store} diverged"
-                )
+        for use_store in (False, True):
+            store = JournalStore(tmp_path / "s") if use_store else None
+            result = self._search(matrix, store=store)
+            assert [r.identity() for r in result.history] == ids, (
+                f"store={use_store} diverged"
+            )
 
     def test_default_engine_equals_explicit_spmv(self, matrix):
         implicit = self._search(matrix)
@@ -549,16 +545,45 @@ class TestBenchWorkloads:
 # ---------------------------------------------------------------------------
 
 class TestCliHardening:
-    def test_jobs_below_one_rejected(self, capsys):
+    @staticmethod
+    def _serve_usage_error(capsys, tmp_path, args):
         with pytest.raises(SystemExit) as excinfo:
-            main(["search", "@scfxm1-2r", "--jobs", "0"])
+            main(["serve", "@scfxm1-2r", "--store", str(tmp_path / "s"),
+                  *args])
         assert excinfo.value.code == 2
-        assert "worker count must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error:" in line] == [err[-1]]
+        assert not (tmp_path / "s").exists()  # rejected before any work
+        return err[-1]
 
-    def test_jobs_non_integer_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["search", "@scfxm1-2r", "--jobs", "two"])
-        assert "expected an integer worker count" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--workers", "-2"], "worker count must be >= 0"),
+            (["--workers", "1", "--deadline", "-1"], "deadline must be"),
+            (["--workers", "1", "--deadline", "0"], "deadline must be"),
+            (["--deadline", "nan"], "deadline must be"),
+        ],
+        ids=["workers-negative", "deadline-negative", "deadline-zero",
+             "deadline-nan"],
+    )
+    def test_serve_value_out_of_range_rejected(
+        self, capsys, tmp_path, args, message
+    ):
+        assert message in self._serve_usage_error(capsys, tmp_path, args)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--workers", "two"], "expected an integer worker count"),
+            (["--deadline", "soon"], "expected a deadline in seconds"),
+        ],
+        ids=["workers", "deadline"],
+    )
+    def test_serve_value_non_numeric_rejected(
+        self, capsys, tmp_path, args, message
+    ):
+        assert message in self._serve_usage_error(capsys, tmp_path, args)
 
     def test_unknown_workload_lists_registered(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
