@@ -1,7 +1,7 @@
 """Corpus pipeline throughput — records `BENCH_corpus.json`.
 
 Runs the full §VII pipeline (every baseline + design search per matrix)
-over the bench corpus through the resumable :class:`CorpusRunner`,
+over the bench corpus through :class:`CorpusRunner` into a journal store,
 asserts the resume and determinism contracts at corpus scale, and writes
 the throughput record to ``BENCH_corpus.json`` at the repo root so later
 PRs can compare corpus-level speed.
@@ -19,8 +19,9 @@ import time
 from datetime import datetime, timezone
 
 from conftest import BENCH_BUDGET, CORPUS_SIZE, bench_engine
-from repro.bench import CorpusRunner, ResultStore, render_corpus_report
+from repro.bench import CorpusRunner, render_corpus_report
 from repro.gpu import A100
+from repro.store import JournalStore
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_corpus.json")
 
@@ -31,16 +32,16 @@ def _runner(store, engine):
 
 def test_corpus_pipeline_throughput(bench_corpus, tmp_path):
     entries = bench_corpus[: max(4, CORPUS_SIZE // 2)]
-    store_path = tmp_path / "corpus_store.json"
+    store_path = tmp_path / "corpus_store"
 
     with bench_engine(A100) as engine:
         t0 = time.perf_counter()
-        cold = _runner(ResultStore(store_path), engine).run(entries)
+        cold = _runner(JournalStore(store_path), engine).run(entries)
         cold_wall = time.perf_counter() - t0
 
         # Resume from the persisted store: nothing re-measured, same table.
         t0 = time.perf_counter()
-        warm = _runner(ResultStore(store_path), engine).run(entries)
+        warm = _runner(JournalStore(store_path), engine).run(entries)
         warm_wall = time.perf_counter() - t0
 
     assert cold.stats.measured == len(entries)
@@ -63,7 +64,7 @@ def test_corpus_pipeline_throughput(bench_corpus, tmp_path):
         "resume_wall_s": round(warm_wall, 3),
         "matrices_per_minute": round(60.0 * len(entries) / cold_wall, 2),
         "total_search_evaluations": total_evals,
-        "store_bytes": store_path.stat().st_size,
+        "store_bytes": (store_path / "journal.log").stat().st_size,
     }
     with open(OUT_PATH, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -66,7 +66,7 @@ def measurement_ok(meas) -> bool:
     """The one usability predicate: applicable, correct, > 0 GFLOPS.
 
     Accepts a live :class:`BaselineMeasurement` or its dict form from a
-    persisted result store, so live aggregation and store-reading paths
+    stored corpus record, so live aggregation and store-reading paths
     cannot diverge on what "usable" means.
     """
     if isinstance(meas, BaselineMeasurement):

@@ -5,29 +5,22 @@ PFS/cuSPARSE across hundreds of SuiteSparse matrices.  This package turns
 the per-matrix building blocks (baseline measurement, the staged search
 evaluator) into a corpus pipeline:
 
-:class:`~repro.bench.store.ResultStore`
-    Incremental JSON persistence — every finished matrix is flushed to
-    disk, so interrupted runs resume instead of restarting.
-
 :class:`~repro.bench.runner.CorpusRunner`
     Drives baselines + design search per matrix over one shared
     :class:`~repro.search.engine.SearchEngine` (one design cache), caching
     each matrix's reference SpMV so it is computed once, not once per
-    baseline.
+    baseline.  Given a :class:`~repro.store.journal.JournalStore`, every
+    finished matrix is stored as a ``bench`` entry, so interrupted runs
+    resume instead of restarting and shards sharing one store add up.
 
 :mod:`~repro.bench.aggregate`
-    Renders the paper's corpus tables from a store: per-baseline geomean
-    speedups, the Fig 10 histogram, §VII-G creativity-class counts.
+    Renders the paper's corpus tables from a run's records: per-baseline
+    geomean speedups, the Fig 10 histogram, §VII-G creativity-class
+    counts.
 
-CLI entry point: ``python -m repro bench <matrices...> [--resume PATH]``.
+CLI entry point: ``python -m repro bench <matrices...> [--store DIR]``.
 """
 
-from repro.bench.store import (
-    ResultStore,
-    ResultStoreError,
-    ResultStoreVersionError,
-    StoreVersionError,
-)
 from repro.bench.runner import CorpusRunner, CorpusRunResult, CorpusRunStats
 from repro.bench.aggregate import (
     baseline_speedups,
@@ -37,10 +30,6 @@ from repro.bench.aggregate import (
 )
 
 __all__ = [
-    "ResultStore",
-    "ResultStoreError",
-    "ResultStoreVersionError",
-    "StoreVersionError",
     "CorpusRunner",
     "CorpusRunResult",
     "CorpusRunStats",

@@ -1,8 +1,8 @@
-"""Corpus-level aggregation: the paper's §VII tables from a result store.
+"""Corpus-level aggregation: the paper's §VII tables from corpus records.
 
 All aggregation works on the plain-JSON records the
-:class:`~repro.bench.runner.CorpusRunner` persists, so the same tables
-render from a live run or from a reloaded store file.
+:class:`~repro.bench.runner.CorpusRunner` returns and stores, so the same
+tables render from a live run or from a run resumed out of a store.
 
 Inapplicable and incorrect baselines report 0 GFLOPS; they are *filtered*
 here (per-baseline matrix counts make the filtering visible) rather than

@@ -8,12 +8,13 @@ matrix collection with the staged evaluator underneath:
 * each matrix's dense input vector and reference SpMV are computed once
   and shared by all of its baselines (and the PFS oracle is derived from
   the same measurements instead of re-running the member kernels);
-* every finished matrix is flushed to the
-  :class:`~repro.bench.store.ResultStore`, so an interrupted run resumes
-  without re-measuring completed matrices;
-* with a ``design_store``, designs and each winning result also go to
-  the design store (:class:`~repro.store.journal.JournalStore`) — the
-  same store ``search``, ``serve`` and ``check`` open.
+* with a ``store`` (a :class:`~repro.store.journal.JournalStore`, the
+  same store ``search``, ``serve`` and ``check`` open), every finished
+  matrix becomes a ``bench`` entry keyed by the run configuration and the
+  matrix, so an interrupted run resumes without re-measuring completed
+  matrices, and shards sharing one store add up; designs and each
+  winning result go to the same store;
+* without a store, records live only in the returned list.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 from repro.analysis.metrics import classify_creativity
 from repro.baselines import PFS_MEMBERS, PerfectFormatSelector
 from repro.baselines.base import measure_baselines
-from repro.bench.store import ResultStore
 from repro.gpu.arch import GPUSpec
 from repro.search import SearchBudget, SearchEngine
 from repro.search.evaluation import matrix_token
@@ -62,7 +62,6 @@ class CorpusRunResult:
 
     records: List[Dict] = field(default_factory=list)
     stats: CorpusRunStats = CorpusRunStats(0, 0, 0.0)
-    store: Optional[ResultStore] = None
 
 
 class CorpusRunner:
@@ -71,12 +70,15 @@ class CorpusRunner:
     ``engine`` may be injected to share a design cache beyond one runner;
     an injected engine is the caller's to close.
 
-    ``design_store`` additionally persists every search to a
-    :class:`~repro.store.journal.JournalStore`: designs are written through
-    the engine (warm-starting later runs) and each matrix's winning
-    result+artifact is recorded, so a corpus run doubles as a serving
-    warm-up.  The store never changes what is measured — records stay
-    byte-identical with or without it.
+    ``store`` (a :class:`~repro.store.journal.JournalStore`) resumes and
+    persists the run: a matrix whose record the store holds under this
+    run's :meth:`config` is read back instead of measured, and every
+    measured record is written as a ``bench`` entry.  Designs are written
+    through the engine (warm-starting later runs) and each matrix's
+    winning result+artifact is recorded, so a corpus run doubles as a
+    serving warm-up.  The store never changes what is measured: a record
+    measured with it equals one measured without it, except for wall
+    time and ``designer_runs`` (0 for designs the store already holds).
     """
 
     def __init__(
@@ -84,33 +86,30 @@ class CorpusRunner:
         gpu: GPUSpec,
         budget: Optional[SearchBudget] = None,
         seed: int = 0,
-        store: Optional[ResultStore] = None,
+        store: Optional[JournalStore] = None,
         baselines: Optional[Sequence[str]] = None,
         engine: Optional[SearchEngine] = None,
         progress: Optional[Callable[[str], None]] = None,
-        design_store: Optional[JournalStore] = None,
         workload: Optional[Workload] = None,
         static_pruning: bool = True,
         warm_start: bool = False,
     ) -> None:
         self.gpu = gpu
         self.seed = seed
-        self.store = store if store is not None else ResultStore()
+        self.store = store
         self.baselines = list(baselines) if baselines else list(DEFAULT_BASELINES)
-        self.design_store = design_store
-        self.warm_start = warm_start
-        if warm_start and design_store is None and engine is None:
-            raise ValueError("warm_start requires a design_store")
+        if warm_start and store is None and engine is None:
+            raise ValueError("warm_start requires a store")
         self._owns_engine = engine is None
         ensure_engine_workload(engine, workload)
         self.engine = engine or SearchEngine(
             gpu,
             budget=budget,
             seed=seed,
-            store=design_store,
+            store=store,
             workload=workload,
             enable_static_pruning=static_pruning,
-            warm_start_store=design_store if warm_start else None,
+            warm_start_store=store if warm_start else None,
         )
         #: the workload every baseline measurement and search runs under
         #: (the injected engine's when one is supplied).
@@ -130,14 +129,16 @@ class CorpusRunner:
 
     # ------------------------------------------------------------------
     def config(self) -> Dict:
-        """The comparability contract a result store pins.
+        """The run configuration every ``bench`` entry is keyed by.
 
-        Every result-affecting knob is included: the full search budget
-        and the engine's search-space switches.  Two runs with equal
-        configs produce identical records for the same matrix.
+        Every result-affecting knob is included: the full search budget,
+        the engine's search-space switches, the sampler and the workload.
+        Two runs with equal configs produce identical records for the same
+        matrix; runs with different configs never share a record.
         """
         budget = self.engine.budget
-        config = {
+        engine = self.engine
+        return {
             "gpu": self.gpu.name,
             "seed": self.seed,
             "baselines": list(self.baselines),
@@ -151,31 +152,16 @@ class CorpusRunner:
                 "time_limit_s": budget.time_limit_s,
             },
             "engine": {
-                "pruning": self.engine.enable_pruning,
-                "extensions": self.engine.enable_extensions,
-                "seeding": self.engine.enable_seeding,
+                "pruning": engine.enable_pruning,
+                "extensions": engine.enable_extensions,
+                "seeding": engine.enable_seeding,
+                "static_pruning": engine.enable_static_pruning,
+                "warm_start": engine.warm_start_store is not None,
+                "sampler": engine.sampler_cls.name,
+                "sampler_seed": engine.sampler_seed,
             },
+            "workload": self.workload.name,
         }
-        if self.engine.enable_static_pruning:
-            # Pinned only when on: pruning-off runs resume result stores
-            # written before the static verifier existed.
-            config["engine"]["static_pruning"] = True
-        if self.engine.warm_start_store is not None:
-            # Pinned only when on: warm starts seed the candidate stream
-            # from the design store, so histories legitimately differ —
-            # cold runs resume pre-warm-start result stores unchanged.
-            config["engine"]["warm_start"] = True
-        if not self.workload.is_default:
-            # The default workload pins no key, so pre-workload-layer
-            # result stores stay resumable and spmv configs byte-identical.
-            config["workload"] = self.workload.name
-        if self.engine.sampler_cls.name != DEFAULT_SAMPLER_NAME:
-            # Same convention for the sampler: the default annealer pins
-            # no key, so pre-sampler-layer result stores stay resumable.
-            config["engine"]["sampler"] = self.engine.sampler_cls.name
-            if self.engine.sampler_seed is not None:
-                config["engine"]["sampler_seed"] = self.engine.sampler_seed
-        return config
 
     @staticmethod
     def record_key(matrix: SparseMatrix) -> str:
@@ -198,7 +184,7 @@ class CorpusRunner:
         self, matrices: Iterable[Union[SparseMatrix, CorpusEntry]]
     ) -> CorpusRunResult:
         start = time.perf_counter()
-        self.store.bind_config(self.config())
+        config = self.config()
         entries = [
             (m.matrix, m.family) if isinstance(m, CorpusEntry) else (m, "")
             for m in matrices
@@ -207,8 +193,10 @@ class CorpusRunner:
         measured = resumed = 0
         for i, (matrix, family) in enumerate(entries):
             key = self.record_key(matrix)
-            if key in self.store:
-                record = self.store.get(key)
+            record = (
+                None if self.store is None else self.store.get_bench(config, key)
+            )
+            if record is not None:
                 resumed += 1
                 self.progress(
                     f"[{i + 1}/{len(entries)}] {matrix.name or key}: resumed"
@@ -217,7 +205,8 @@ class CorpusRunner:
                 record = self._evaluate_matrix(
                     matrix, family, seed=self._search_seed(key)
                 )
-                self.store.put(key, record)
+                if self.store is not None:
+                    self.store.put_bench(config, key, record)
                 measured += 1
                 self.progress(
                     f"[{i + 1}/{len(entries)}] {matrix.name or key}: "
@@ -232,7 +221,6 @@ class CorpusRunner:
                 resumed=resumed,
                 wall_s=time.perf_counter() - start,
             ),
-            store=self.store,
         )
 
     # ------------------------------------------------------------------
@@ -269,8 +257,8 @@ class CorpusRunner:
         if result.best_graph is not None:
             best_ops = list(result.best_graph.operator_names())
             creativity = classify_creativity(result.best_graph, matrix)
-        if self.design_store is not None and result.best_graph is not None:
-            self.design_store.put_result(
+        if self.store is not None and result.best_graph is not None:
+            self.store.put_result(
                 self.workload.scope_token(matrix_token(matrix)),
                 self.gpu.name,
                 search_result_record(matrix, self.gpu.name, result, seed=seed),
@@ -297,8 +285,8 @@ class CorpusRunner:
             "creativity": creativity,
         }
         if self.engine.enable_static_pruning:
-            # Same absent-key convention as the config: records from
-            # pruning-off runs keep their exact historical bytes.
+            # Absent key == pruning off: records from pruning-off runs
+            # keep their exact historical bytes (GOLDEN_BENCH_DIGEST).
             record["search"]["static_pruned"] = result.static_pruned
         if self.engine.warm_start_store is not None:
             # Absent key == cold search: records from cold runs keep

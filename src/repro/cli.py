@@ -15,8 +15,7 @@ Commands::
                               [--workload NAME]
     python -m repro bench <matrix.mtx | @named | @corpus:N> [more ...]
                           [--gpu A100] [--evals N] [--seed S]
-                          [--workload NAME] [--resume PATH] [--store DIR]
-                          [--warm-start]
+                          [--workload NAME] [--store DIR] [--warm-start]
     python -m repro serve <matrix.mtx | @named> [more ...] --store DIR
                           [--gpu A100] [--evals N]
                           [--workers N] [--deadline S] [--workload NAME]
@@ -33,16 +32,17 @@ Commands::
 ``search`` accepts several matrices; they share one engine and one design
 cache and print a collection summary.
 ``bench`` runs the corpus pipeline — every baseline *and* the design
-search per matrix — and prints the paper's corpus tables; ``--resume
-PATH`` persists per-matrix results incrementally so an interrupted run
-picks up where it stopped.  ``@corpus:N`` expands to the first N matrices
-of the built-in deterministic corpus (``@corpus:K-N`` for a shard).
+search per matrix — and prints the paper's corpus tables; with ``--store
+DIR`` each finished matrix is stored as it completes, so an interrupted
+run picks up where it stopped and shards writing one store add up.
+``@corpus:N`` expands to the first N matrices of the built-in
+deterministic corpus (``@corpus:K-N`` for a shard).
 
-``--store DIR`` (search/bench/serve) persists designs and results to an
-on-disk :class:`~repro.store.journal.JournalStore`: a later search of the
-same matrix — even in a new process — warm-starts with zero Designer
-runs.  Every command opens the same store format, so one store serves
-search, bench, serve, check and store maintenance alike.
+``--store DIR`` (search/bench/serve) persists designs, results and corpus
+records to an on-disk :class:`~repro.store.journal.JournalStore`: a later
+search of the same matrix — even in a new process — warm-starts with zero
+Designer runs.  Every command opens the same store format, so one store
+serves search, bench, serve, check and store maintenance alike.
 ``--warm-start`` additionally seeds each search's candidate stream with
 the store's nearest-neighbour *winning* design (cross-matrix transfer —
 a corpus run's earlier matrices warm-start its later ones).
@@ -54,7 +54,8 @@ request gets an answer).  ``store ls/gc/verify/compact`` inspect, prune,
 integrity-check (``verify --repair`` quarantines damage) and compact a
 store directory; ``store migrate OLD NEW`` converts a store in the
 retired one-file-per-entry layout (read-only on OLD).  A ``--store``
-path that is not a usable store ends the command with one ``error:``
+path that is not a usable store, a ``--warm-start`` without ``--store``
+and a bad ``@corpus:`` slice each end the command with one ``error:``
 line and exit 2.
 
 ``check`` runs the static verifier against the search space: it samples
@@ -78,11 +79,11 @@ import argparse
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.analysis import render_search_summary, render_table
 from repro.baselines import PFS_MEMBERS, PerfectFormatSelector, get_baseline
-from repro.bench import CorpusRunner, ResultStore, render_corpus_report
+from repro.bench import CorpusRunner, render_corpus_report
 from repro.core.operators import OPERATOR_REGISTRY, Stage
 from repro.export import export_program, write_artifact
 from repro.gpu import gpu_by_name
@@ -105,6 +106,12 @@ from repro.workloads import WORKLOADS, Workload, get_workload
 __all__ = ["main"]
 
 
+def _fail(message: str) -> NoReturn:
+    """End the command with one ``error:`` line and exit 2."""
+    print(f"error: {message}")
+    raise SystemExit(2)
+
+
 def _load_matrix(spec: str) -> SparseMatrix:
     """``@name`` (a built-in matrix) or a Matrix Market path; a spec that
     names neither ends the command with one ``error:`` line and exit 2."""
@@ -118,19 +125,24 @@ def _load_matrix(spec: str) -> SparseMatrix:
         reason = exc.strerror or str(exc)
     except MatrixMarketError as exc:
         reason = str(exc)
-    print(f"error: cannot load matrix {spec!r}: {reason}")
-    raise SystemExit(2)
+    _fail(f"cannot load matrix {spec!r}: {reason}")
 
 
 def _open_store(path: str) -> JournalStore:
-    """The design store at ``path`` (created if absent); a path that is
-    not a usable store ends the command with one ``error:`` line and
-    exit 2."""
+    """The store at ``path`` (created if absent); a path that is not a
+    usable store ends the command with one ``error:`` line and exit 2."""
     try:
         return open_store(path)
     except StoreError as exc:
-        print(f"error: {exc}")
-        raise SystemExit(2)
+        _fail(str(exc))
+
+
+def _warm_start_store(args: argparse.Namespace) -> Optional[JournalStore]:
+    """The ``--store`` of search/bench; ``--warm-start`` without one ends
+    the command with one ``error:`` line and exit 2."""
+    if args.warm_start and not args.store:
+        _fail("--warm-start requires --store DIR")
+    return _open_store(args.store) if args.store else None
 
 
 def _gpu_arg(value: str):
@@ -209,9 +221,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     specs: List[str] = args.matrix
     matrices = [_load_matrix(spec) for spec in specs]
     gpu = args.gpu
-    store = _open_store(args.store) if args.store else None
-    if args.warm_start and store is None:
-        raise SystemExit("--warm-start requires --store DIR")
+    store = _warm_start_store(args)
     engine = SearchEngine(
         gpu,
         budget=SearchBudget(max_total_evals=args.evals),
@@ -365,11 +375,9 @@ def _expand_bench_specs(specs: List[str]) -> List[object]:
                 else:
                     lo, hi = 0, int(rng)
             except ValueError:
-                raise SystemExit(
-                    f"bad corpus slice {spec!r}; use @corpus:N or @corpus:K-N"
-                )
+                _fail(f"bad corpus slice {spec!r}; use @corpus:N or @corpus:K-N")
             if hi <= lo:
-                raise SystemExit(f"empty corpus slice {spec!r}")
+                _fail(f"empty corpus slice {spec!r}")
             matrices.extend(corpus(hi - lo, start=lo))
         else:
             matrices.append(_load_matrix(spec))
@@ -379,17 +387,13 @@ def _expand_bench_specs(specs: List[str]) -> List[object]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     matrices = _expand_bench_specs(args.matrix)
     gpu = args.gpu
-    store = ResultStore(args.resume)
-    design_store = _open_store(args.store) if args.store else None
-    if args.warm_start and design_store is None:
-        raise SystemExit("--warm-start requires --store DIR")
+    store = _warm_start_store(args)
     runner = CorpusRunner(
         gpu,
         budget=SearchBudget(max_total_evals=args.evals),
         seed=args.seed,
         store=store,
         progress=print,
-        design_store=design_store,
         workload=args.workload,
         warm_start=args.warm_start,
     )
@@ -398,9 +402,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     stats = result.stats
     print(f"\ncorpus run: {stats.measured} measured, {stats.resumed} resumed "
           f"in {stats.wall_s:.1f}s"
-          + (f"; results persisted to {args.resume}" if args.resume else ""))
-    if design_store is not None:
-        ds = design_store.stats()
+          + (f"; records stored in {args.store}" if store is not None else ""))
+    if store is not None:
+        ds = store.stats()
         print(f"design store: {ds.design_writes} designs + "
               f"{ds.result_writes} results written, "
               f"{ds.design_hits} designs warm-started ({args.store})")
@@ -516,9 +520,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.action == "compact":
         info = store.compact()
         print(f"compacted to epoch {info['epoch']}: {info['designs']} designs"
-              f" + {info['results']} results + {info['claims']} claims in "
-              f"the snapshot, {info['reclaimed_bytes']} journal bytes "
-              f"reclaimed")
+              f" + {info['results']} results + {info['bench']} bench records"
+              f" + {info['claims']} claims in the snapshot, "
+              f"{info['reclaimed_bytes']} journal bytes reclaimed")
         return 0
     if args.action == "ls":
         entries = store.entries()
@@ -853,12 +857,12 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(sorted(WORKLOADS))
                         + " (default: spmv)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resume", default=None, metavar="PATH",
-                   help="persist per-matrix results to PATH (JSON) as they "
-                        "finish and skip matrices already recorded there")
     p.add_argument("--store", default=None, metavar="DIR",
-                   help="also populate a persistent design store (designs "
-                        "+ winning artifacts) for warm starts and serving")
+                   help="persistent store: each finished matrix's record "
+                        "is stored and a rerun with the same settings "
+                        "resumes instead of re-measuring; designs + "
+                        "winning artifacts also go there for warm starts "
+                        "and serving")
     p.add_argument("--warm-start", action="store_true",
                    help="seed each matrix's search with the store's "
                         "nearest-neighbour winning design (requires "

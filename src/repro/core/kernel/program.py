@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.format import MachineDesignedFormat
 from repro.gpu.arch import GPUSpec
-from repro.gpu.cost import CostBreakdown
 from repro.gpu.executor import ExecutionPlan, ExecutionResult, execute
 from repro.workloads import DEFAULT_WORKLOAD, Workload
 
@@ -43,10 +42,6 @@ class ProgramResult:
     total_time_s: float
     gflops: float
     kernel_results: List[ExecutionResult]
-
-    @property
-    def cost_breakdowns(self) -> List[CostBreakdown]:
-        return [r.cost for r in self.kernel_results]
 
 
 @dataclass

@@ -107,12 +107,6 @@ class Operator:
             resolved.update(given)
         return resolved
 
-    def param_spec(self, name: str) -> ParamSpec:
-        for spec in self.params:
-            if spec.name == name:
-                return spec
-        raise KeyError(f"{self.name} has no parameter {name!r}")
-
     # ------------------------------------------------------------------
     def check(self, meta: MatrixMetadataSet, params: Mapping[str, object]) -> None:
         """Raise :class:`OperatorError` if the operator cannot apply now.

@@ -307,11 +307,6 @@ class ResolverPool:
     def stats(self) -> PoolStats:
         return replace(self._stats)
 
-    def heartbeats(self) -> List[float]:
-        """Seconds since each worker's last heartbeat (telemetry)."""
-        now = time.monotonic()
-        return [now - t if t else float("inf") for t in self._heartbeat]
-
     def _bump(self, **deltas: int) -> None:
         self._stats = replace(
             self._stats,

@@ -1,11 +1,13 @@
-"""Persistent design store (see :mod:`repro.store.journal`).
+"""Persistent store (see :mod:`repro.store.journal`).
 
 Turns one-time search output into durable, content-addressed artifacts:
 design entries warm-start later searches (zero Designer runs in a fresh
-process), result entries let the serving layer answer without searching.
+process), result entries let the serving layer answer without searching,
+and bench entries hold finished corpus records so ``bench --store``
+resumes.
 
-One backend holds them: :class:`~repro.store.journal.JournalStore`, a
-crash-safe append-only log with checksummed records, multi-writer file
+One implementation holds them all: :class:`~repro.store.journal.JournalStore`,
+a crash-safe append-only log with checksummed records, multi-writer file
 locking and snapshot compaction.  Stores in the retired one-file-per-entry
 layout are refused on open; :func:`~repro.store.migrate.migrate_store`
 (``python -m repro store migrate OLD NEW``) converts them.
@@ -30,6 +32,7 @@ from repro.store.journal import (
     JournalStore,
     LockTimeoutError,
     StoreStats,
+    bench_entry_doc,
     design_entry_doc,
     result_entry_doc,
     result_meta_doc,
@@ -56,6 +59,7 @@ __all__ = [
     "feature_vector",
     "make_result_record",
     "search_result_record",
+    "bench_entry_doc",
     "design_entry_doc",
     "result_entry_doc",
     "result_meta_doc",

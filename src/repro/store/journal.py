@@ -1,4 +1,4 @@
-"""The design store: a crash-safe append-only journal.
+"""The store: a crash-safe append-only journal.
 
 A one-time AlphaSparse search yields a reusable machine-designed
 format+kernel per matrix, but every in-process cache dies with the
@@ -18,6 +18,12 @@ success.
 the winning Operator Graph, its measured GFLOPS, the matrix's feature
 signature (nearest-neighbour serving) and the exported artifact payload
 (everything :func:`repro.export.export_program` writes, inline).
+
+**Bench entries** persist one finished corpus record
+(:class:`~repro.bench.runner.CorpusRunner`) per ``(run config, matrix
+record key)``: the key covers the canonical run configuration, so records
+of two configurations never mix, and ``bench --store`` resumes by reading
+them back.
 
 Layout::
 
@@ -40,9 +46,10 @@ u64 *epoch*, bumped on every compaction) followed by records::
 
 where the payload is canonical JSON ``{"op": ..., "key": ..., "entry": ...}``
 (ops: ``design`` — first-writer-wins, ``result`` — last-writer-wins,
-``claim`` — at-most-once search fence, ``drop`` — quarantine of a damaged
-entry).  Entry documents come from :func:`design_entry_doc` /
-:func:`result_entry_doc` and carry a digest of their payload.
+``bench`` — first-writer-wins, ``claim`` — at-most-once search fence,
+``drop`` — quarantine of a damaged entry).  Entry documents come from
+:func:`design_entry_doc` / :func:`result_entry_doc` /
+:func:`bench_entry_doc` and carry a digest of their payload.
 
 Crash safety:
 
@@ -101,6 +108,7 @@ __all__ = [
     "LockContended",
     "LockTimeoutError",
     "SCHEMA_VERSION",
+    "bench_entry_doc",
     "default_lock_policy",
     "design_entry_doc",
     "result_entry_doc",
@@ -159,6 +167,20 @@ def result_entry_doc(token: Tuple, arch: str, record: Dict) -> Dict[str, object]
     }
 
 
+def bench_entry_doc(config: Dict, record_key: str, record: Dict) -> Dict[str, object]:
+    """The canonical bench entry document: one finished corpus record
+    under the run configuration that produced it."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": "bench",
+        "arch": config.get("gpu"),
+        "matrix": {"name": record.get("name"), "key": record_key},
+        "config": config,
+        "payload_digest": payload_digest(record),
+        "payload": record,
+    }
+
+
 def result_meta_doc(arch: Optional[str], record: Dict) -> Dict:
     """Lightweight nearest-neighbour metadata derived from one record."""
     meta = {
@@ -209,7 +231,7 @@ class StoreStats:
 class EntryStatus:
     """One entry's integrity verdict (``verify`` / ``ls``)."""
 
-    kind: str  # "design" | "result" | "journal"
+    kind: str  # "design" | "result" | "bench" | "journal"
     filename: str
     ok: bool
     matrix: str
@@ -246,6 +268,7 @@ class _State:
     offset: int = _HEADER_SIZE
     designs: Dict[str, Dict] = field(default_factory=dict)
     results: Dict[str, Dict] = field(default_factory=dict)
+    bench: Dict[str, Dict] = field(default_factory=dict)
     claims: Set[str] = field(default_factory=set)
     #: payload-invalid records skipped during replay (reason strings)
     invalid: List[str] = field(default_factory=list)
@@ -268,7 +291,8 @@ def _stat_key(path: str) -> Optional[Tuple[int, int, int]]:
 
 
 class JournalStore:
-    """On-disk content-addressed store of designs and search results."""
+    """On-disk content-addressed store of designs, search results and
+    corpus records."""
 
     def __init__(
         self,
@@ -323,29 +347,33 @@ class JournalStore:
                     "directory layout; convert it with "
                     f"`python -m repro store migrate {self.path} NEW`"
                 )
-        elif create:
-            os.makedirs(self.path, exist_ok=True)
-            tmp = os.path.join(self.path, f".{_STOREHEADER}.tmp")
-            with open(tmp, "w") as fh:
-                json.dump(
-                    {
-                        "schema": SCHEMA_VERSION,
-                        "kind": "design-store",
-                        "backend": "journal",
-                    },
-                    fh,
-                    sort_keys=True,
-                )
-                fh.write("\n")
-            os.replace(tmp, header_path)
-        else:
+        elif not create:
             raise StoreError(f"no design store at {self.path!r}")
-        journal = self._journal_path
-        if not os.path.exists(journal):
-            # a header without a journal is an interrupted creation:
-            # recreate the empty log rather than failing every read
-            with open(journal, "xb") as fh:
-                fh.write(_MAGIC + struct.pack(">Q", 0))
+        try:
+            if not os.path.exists(header_path):
+                os.makedirs(self.path, exist_ok=True)
+                tmp = os.path.join(self.path, f".{_STOREHEADER}.tmp")
+                with open(tmp, "w") as fh:
+                    json.dump(
+                        {
+                            "schema": SCHEMA_VERSION,
+                            "kind": "design-store",
+                            "backend": "journal",
+                        },
+                        fh,
+                        sort_keys=True,
+                    )
+                    fh.write("\n")
+                os.replace(tmp, header_path)
+            if not os.path.exists(self._journal_path):
+                # a header without a journal is an interrupted creation:
+                # recreate the empty log rather than failing every read
+                with open(self._journal_path, "xb") as fh:
+                    fh.write(_MAGIC + struct.pack(">Q", 0))
+        except OSError as exc:
+            raise StoreError(
+                f"cannot create store {self.path!r}: {exc.strerror or exc}"
+            ) from exc
         # Open-time recovery: if we can take the writer lock without
         # waiting, drop any torn tail now; if a live writer holds it, that
         # writer performs the same recovery before its next append.
@@ -395,7 +423,8 @@ class JournalStore:
     def __len__(self) -> int:
         with self._mutex:
             self._refresh()
-            return len(self._state.designs) + len(self._state.results)
+            state = self._state
+            return len(state.designs) + len(state.results) + len(state.bench)
 
     # ------------------------------------------------------------------
     # Journal reading (the read-through cache tier)
@@ -452,6 +481,7 @@ class JournalStore:
         if snapshot is not None:
             state.designs = dict(snapshot.get("designs", {}))
             state.results = dict(snapshot.get("results", {}))
+            state.bench = dict(snapshot.get("bench", {}))
             state.claims = set(snapshot.get("claims", []))
             state.epoch = int(snapshot.get("epoch", 0))
             if state.epoch > journal_epoch:
@@ -520,11 +550,11 @@ class JournalStore:
             if isinstance(key, str):
                 state.claims.add(key)
             return
+        kinds = {"design": state.designs, "result": state.results, "bench": state.bench}
         if op == "drop":
-            target = state.designs if record.get("kind") == "design" else state.results
-            target.pop(record.get("key"), None)
+            kinds.get(record.get("kind"), state.results).pop(record.get("key"), None)
             return
-        if op not in ("design", "result"):
+        if op not in kinds:
             state.invalid.append(f"unknown op {op!r}")
             self._bump(corrupt=1)
             return
@@ -541,12 +571,13 @@ class JournalStore:
             state.invalid.append(f"{op} record {key!r}: payload digest mismatch")
             self._bump(corrupt=1)
             return
-        if op == "design":
-            # first-writer-wins: design output is a deterministic
-            # function of the key, so a later writer adds nothing
-            state.designs.setdefault(key, entry)
-        else:
+        if op == "result":
             state.results[key] = entry
+        else:
+            # first-writer-wins: design output and corpus records are
+            # deterministic functions of their key (a record's one
+            # wall-clock field aside), so a later writer adds nothing
+            kinds[op].setdefault(key, entry)
 
     # ------------------------------------------------------------------
     # Journal writing
@@ -776,6 +807,33 @@ class JournalStore:
         ]
 
     # ------------------------------------------------------------------
+    # Bench entries (corpus records)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def bench_digest(config: Dict, record_key: str) -> str:
+        # payload_digest canonicalises the config (sorted keys), so equal
+        # configs give equal keys however their dicts were built
+        return key_digest("bench", payload_digest(config), record_key)
+
+    def get_bench(self, config: Dict, record_key: str) -> Optional[Dict]:
+        """The corpus record stored for ``record_key`` under ``config``,
+        or None (never measured under this config, or damaged)."""
+        with self._mutex:
+            self._refresh()
+            entry = self._state.bench.get(self.bench_digest(config, record_key))
+        return None if entry is None else entry["payload"]
+
+    def put_bench(self, config: Dict, record_key: str, record: Dict) -> None:
+        """Persist one finished corpus record; first writer wins."""
+        digest = self.bench_digest(config, record_key)
+        entry = bench_entry_doc(config, record_key, record)
+        with self._mutex:
+            self._refresh()
+            if digest in self._state.bench:
+                return
+            self._write_locked({"op": "bench", "key": digest, "entry": entry})
+
+    # ------------------------------------------------------------------
     # Claims (at-most-once search execution)
     # ------------------------------------------------------------------
     def claim_search(self, key: str) -> bool:
@@ -824,6 +882,7 @@ class JournalStore:
             "epoch": new_epoch,
             "designs": state.designs,
             "results": state.results,
+            "bench": state.bench,
             "claims": sorted(state.claims),
         }
         tmp = self._snapshot_path + ".tmp"
@@ -842,6 +901,7 @@ class JournalStore:
         return {
             "designs": len(state.designs),
             "results": len(state.results),
+            "bench": len(state.bench),
             "claims": len(state.claims),
             "reclaimed_bytes": max(0, reclaimed),
             "epoch": new_epoch,
@@ -856,6 +916,7 @@ class JournalStore:
             state = self._state
             designs = sorted(state.designs.items())
             results = sorted(state.results.items())
+            bench = sorted(state.bench.items())
             invalid = list(state.invalid)
             tail_lost = state.tail_lost
         out: List[EntryStatus] = []
@@ -876,6 +937,14 @@ class JournalStore:
                 else via
             )
             out.append(self._status("result", digest, entry, detail))
+        for digest, entry in bench:
+            gflops = entry.get("payload", {}).get("search", {}).get("best_gflops")
+            detail = (
+                f"corpus record, best {gflops:.1f} GFLOPS"
+                if isinstance(gflops, (int, float))
+                else "corpus record"
+            )
+            out.append(self._status("bench", digest, entry, detail))
         for reason in invalid:
             out.append(
                 EntryStatus("journal", _JOURNAL, False, "?", "?", reason, 0)
@@ -944,7 +1013,8 @@ class JournalStore:
         A design is *referenced* when a valid result exists for its
         ``(matrix digest, arch)`` — some search of that matrix finished;
         unreferenced designs are partial-search residue the next search
-        regenerates.  Claims are between-runs residue and are cleared.
+        regenerates.  Bench entries are kept.  Claims are between-runs
+        residue and are cleared.
         """
         with self._mutex:
             with self._file_lock():

@@ -14,8 +14,8 @@ from repro.store.journal import _FRAME, _HEADER_SIZE
 
 
 def damage_record(store_path, op, index=0):
-    """Damage the ``index``-th ``op`` record (``"design"``/``"result"``)
-    of the journal under ``store_path``; returns its key."""
+    """Damage the ``index``-th ``op`` record (``"design"``/``"result"``/
+    ``"bench"``) of the journal under ``store_path``; returns its key."""
     journal = os.path.join(os.fspath(store_path), "journal.log")
     with open(journal, "rb") as fh:
         data = bytearray(fh.read())

@@ -189,22 +189,20 @@ class TestWarmStart:
         assert result.warm_start_hits == 0
 
     def test_corpus_runner_requires_design_store(self):
-        with pytest.raises(ValueError, match="design_store"):
+        with pytest.raises(ValueError, match="requires a store"):
             CorpusRunner(A100, warm_start=True)
 
-    def test_corpus_runner_pins_keys_only_when_enabled(self, tmp_path):
+    def test_corpus_runner_pins_warm_start(self, tmp_path):
         budget = SearchBudget(max_total_evals=12)
         matrices = list(corpus(2))
         cold = CorpusRunner(A100, budget=budget)
         with cold:
-            assert "warm_start" not in cold.config()["engine"]
+            assert cold.config()["engine"]["warm_start"] is False
             cold_records = cold.run(matrices).records
         assert all("warm_start_hits" not in r["search"] for r in cold_records)
 
         store = JournalStore(str(tmp_path / "ws"))
-        warm = CorpusRunner(
-            A100, budget=budget, design_store=store, warm_start=True
-        )
+        warm = CorpusRunner(A100, budget=budget, store=store, warm_start=True)
         with warm:
             assert warm.config()["engine"]["warm_start"] is True
             warm_records = warm.run(matrices).records

@@ -1,4 +1,4 @@
-"""Corpus evaluation pipeline tests: result store, runner, aggregation."""
+"""Corpus evaluation pipeline tests: stored records, runner, aggregation."""
 
 import json
 
@@ -7,17 +7,17 @@ import pytest
 
 from repro.bench import (
     CorpusRunner,
-    ResultStore,
-    ResultStoreError,
-    StoreVersionError,
     baseline_speedups,
     creativity_counts,
     pfs_speedups,
     render_corpus_report,
 )
+from repro.cli import main
 from repro.gpu import A100
 from repro.search import SearchBudget
 from repro.sparse import banded_matrix, lp_like_matrix, power_law_matrix
+from repro.store import JournalStore, StoreError, StoreVersionError
+from store_damage import damage_record
 
 #: Small but real matrices — big enough that every baseline runs, small
 #: enough that three searches stay in tier-1 time.
@@ -30,75 +30,83 @@ MATRICES = [
 BUDGET = SearchBudget(max_structures=8, coarse_evals_per_structure=6,
                       max_total_evals=24)
 
+CONFIG = {"gpu": "A100", "seed": 0}
+
 
 def run_corpus(store=None, matrices=None, seed=0):
     with CorpusRunner(A100, budget=BUDGET, seed=seed, store=store) as runner:
         return runner.run(MATRICES if matrices is None else matrices)
 
 
+def stripped(record, *extra):
+    """A record without its one wall-clock field and the ``extra`` search
+    fields (deep copy)."""
+    out = json.loads(json.dumps(record))
+    for key in ("wall_time_s",) + extra:
+        out["search"].pop(key)
+    return out
+
+
+def measured(record):
+    """What a record measured: :func:`stripped` minus ``designer_runs``,
+    which drops to 0 for designs a store already holds."""
+    return stripped(record, "designer_runs")
+
+
 @pytest.fixture(scope="module")
 def fresh_run():
-    """One full in-memory corpus run shared by the read-only tests."""
+    """One full store-less corpus run shared by the read-only tests."""
     return run_corpus()
 
 
 class TestResultStore:
-    def test_in_memory_roundtrip(self):
-        store = ResultStore()
-        store.put("k", {"name": "m"})
-        assert "k" in store and store.get("k") == {"name": "m"}
+    """The one result store: corpus records are ``bench`` entries of the
+    journal store, keyed by run config and matrix record key."""
+
+    def test_in_memory_roundtrip(self, tmp_path):
+        store = JournalStore(tmp_path / "store")
+        store.put_bench(CONFIG, "k", {"name": "m"})
+        assert store.get_bench(CONFIG, "k") == {"name": "m"}
         assert len(store) == 1
 
     def test_persistence_roundtrip(self, tmp_path):
-        path = tmp_path / "store.json"
-        store = ResultStore(path)
-        store.bind_config({"gpu": "A100"})
-        store.put("a", {"name": "a", "v": 1})
-        store.put("b", {"name": "b", "v": 2})
-        again = ResultStore(path)
+        path = tmp_path / "store"
+        store = JournalStore(path)
+        store.put_bench(CONFIG, "a", {"name": "a", "v": 1})
+        store.put_bench(CONFIG, "b", {"name": "b", "v": 2})
+        again = JournalStore(path)
         assert len(again) == 2
-        assert again.get("a") == {"name": "a", "v": 1}
-        assert again.config == {"gpu": "A100"}
+        assert again.get_bench(CONFIG, "a") == {"name": "a", "v": 1}
+        (entry,) = [
+            e for e in again._state.bench.values() if e["matrix"]["key"] == "a"
+        ]
+        assert entry["config"] == CONFIG
 
     def test_flush_is_atomic_valid_json(self, tmp_path):
-        path = tmp_path / "store.json"
-        store = ResultStore(path)
+        """Every put is durable on its own: a fresh handle reads all of
+        them back after each one, and nothing leaves temp-file litter."""
+        path = tmp_path / "store"
+        store = JournalStore(path)
         for i in range(5):
-            store.put(f"k{i}", {"v": i})
-            data = json.loads(path.read_text())  # parseable after every put
-            assert len(data["matrices"]) == i + 1
-        assert not list(tmp_path.glob("*.tmp"))  # no temp-file litter
+            store.put_bench(CONFIG, f"k{i}", {"v": i})
+            assert len(JournalStore(path)) == i + 1
+        assert not list(path.glob("*.tmp"))
 
     def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / "results.json"  # a file, like an old --resume
         path.write_text("{not json")
-        with pytest.raises(ResultStoreError, match="cannot load"):
-            ResultStore(path)
-        path.write_text('{"schema": 99, "matrices": {}}')
+        with pytest.raises(StoreError, match="is a file"):
+            JournalStore(path)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "store.json").write_text("{not json")
+        with pytest.raises(StoreError, match="cannot read"):
+            JournalStore(bad)
+        (bad / "store.json").write_text(
+            '{"kind": "design-store", "schema": 99, "backend": "journal"}'
+        )
         with pytest.raises(StoreVersionError, match="schema"):
-            ResultStore(path)
-
-    def test_pre_pinning_store_raises_version_error(self, tmp_path):
-        """A store written before run-config pinning (no schema marker)
-        must fail as a clear version error, never a KeyError downstream."""
-        path = tmp_path / "store.json"
-        path.write_text('{"matrices": {"m:abc": {"name": "m"}}}')
-        with pytest.raises(StoreVersionError, match="predates"):
-            ResultStore(path)
-        # the concrete type is ALSO a ResultStoreError, so pre-existing
-        # broad `except ResultStoreError` handlers keep catching it
-        with pytest.raises(ResultStoreError):
-            ResultStore(path)
-
-    def test_config_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "store.json"
-        store = ResultStore(path)
-        store.bind_config({"gpu": "A100", "evals": 24})
-        store.flush()
-        reopened = ResultStore(path)
-        reopened.bind_config({"gpu": "A100", "evals": 24})  # same is fine
-        with pytest.raises(ResultStoreError, match="different run"):
-            reopened.bind_config({"gpu": "RTX2080", "evals": 24})
+            JournalStore(bad)
 
 
 class TestRunnerResume:
@@ -106,11 +114,11 @@ class TestRunnerResume:
         """write -> interrupt -> resume: the resumed run re-measures only
         the missing matrices and the final table is identical to an
         uninterrupted run."""
-        path = tmp_path / "store.json"
-        partial = run_corpus(store=ResultStore(path), matrices=MATRICES[:2])
+        path = tmp_path / "store"
+        partial = run_corpus(store=JournalStore(path), matrices=MATRICES[:2])
         assert partial.stats.measured == 2
 
-        resumed = run_corpus(store=ResultStore(path))  # all three
+        resumed = run_corpus(store=JournalStore(path))  # all three
         assert resumed.stats.resumed == 2
         assert resumed.stats.measured == 1
 
@@ -119,12 +127,40 @@ class TestRunnerResume:
                 == render_corpus_report(fresh.records))
 
     def test_resumed_run_measures_nothing(self, tmp_path):
-        path = tmp_path / "store.json"
-        first = run_corpus(store=ResultStore(path))
-        again = run_corpus(store=ResultStore(path))
+        path = tmp_path / "store"
+        first = run_corpus(store=JournalStore(path))
+        again = run_corpus(store=JournalStore(path))
         assert again.stats.measured == 0
         assert again.stats.resumed == len(MATRICES)
         assert again.records == first.records
+
+    def test_two_runners_share_one_store(self, tmp_path):
+        """Two runners (two handles opened before either writes) on one
+        store path, with interleaved matrices: every record is stored."""
+        path = tmp_path / "store"
+        with CorpusRunner(A100, budget=BUDGET, store=JournalStore(path)) as a, \
+                CorpusRunner(A100, budget=BUDGET, store=JournalStore(path)) as b:
+            a.run(MATRICES[0:1])
+            b.run(MATRICES[1:2])
+            a.run(MATRICES[2:3])
+        after = run_corpus(store=JournalStore(path))
+        assert after.stats.measured == 0
+        assert after.stats.resumed == len(MATRICES)
+
+    def test_damaged_record_is_flagged_and_remeasured(self, tmp_path, capsys):
+        path = tmp_path / "store"
+        first = run_corpus(store=JournalStore(path), matrices=MATRICES[:2])
+        damage_record(path, "bench", 0)
+        assert main(["store", "verify", str(path)]) == 1
+        assert "CORRUPT journal" in capsys.readouterr().out
+        again = run_corpus(store=JournalStore(path), matrices=MATRICES[:2])
+        assert (again.stats.measured, again.stats.resumed) == (1, 1)
+        assert [measured(r) for r in again.records] == [
+            measured(r) for r in first.records
+        ]
+        assert run_corpus(
+            store=JournalStore(path), matrices=MATRICES[:2]
+        ).stats.resumed == 2
 
     def test_store_keys_content_addressed(self):
         renamed = banded_matrix(192, bandwidth=3, seed=1, name="other-name")
@@ -135,25 +171,31 @@ class TestRunnerResume:
         assert CorpusRunner.record_key(MATRICES[0]) == key
 
     def test_config_guard_stops_mixed_stores(self, tmp_path):
-        path = tmp_path / "store.json"
-        run_corpus(store=ResultStore(path), matrices=MATRICES[:1])
-        with pytest.raises(ResultStoreError, match="different run"):
-            run_corpus(store=ResultStore(path), matrices=MATRICES[:1], seed=99)
+        """Records of two configs never mix: a second run into the same
+        store with another seed re-measures every matrix, exactly as a
+        store-less run with that seed measures it."""
+        path = tmp_path / "store"
+        run_corpus(store=JournalStore(path), matrices=MATRICES[:2])
+        other = run_corpus(store=JournalStore(path), matrices=MATRICES[:2], seed=99)
+        assert (other.stats.measured, other.stats.resumed) == (2, 0)
+        alone = run_corpus(matrices=MATRICES[:2], seed=99)
+        assert [measured(r) for r in other.records] == [
+            measured(r) for r in alone.records
+        ]
 
     def test_config_guard_pins_full_budget(self, tmp_path):
-        """Any result-affecting budget field mismatch is rejected, not just
+        """Any result-affecting budget field is part of the key, not just
         the eval cap — otherwise a resume would silently mix searches run
         under different coarse/fine budgets."""
-        path = tmp_path / "store.json"
-        run_corpus(store=ResultStore(path), matrices=MATRICES[:1])
+        path = tmp_path / "store"
+        run_corpus(store=JournalStore(path), matrices=MATRICES[:1])
         other = SearchBudget(
             max_structures=BUDGET.max_structures,
             coarse_evals_per_structure=BUDGET.coarse_evals_per_structure + 2,
             max_total_evals=BUDGET.max_total_evals,
         )
-        with CorpusRunner(A100, budget=other, store=ResultStore(path)) as runner:
-            with pytest.raises(ResultStoreError, match="different run"):
-                runner.run(MATRICES[:1])
+        with CorpusRunner(A100, budget=other, store=JournalStore(path)) as runner:
+            assert runner.run(MATRICES[:1]).stats.measured == 1
 
     def test_record_independent_of_list_position(self):
         """A matrix's record depends on its content, not where it sits in
@@ -161,12 +203,6 @@ class TestRunnerResume:
         are order-insensitive."""
         full = run_corpus()
         alone = run_corpus(matrices=[MATRICES[2]])
-
-        def stripped(record):
-            out = json.loads(json.dumps(record))  # deep copy
-            out["search"].pop("wall_time_s")  # the one wall-clock field
-            return out
-
         assert stripped(alone.records[0]) == stripped(full.records[2])
 
 
@@ -208,14 +244,13 @@ class TestAggregation:
         assert "inf" not in text and "nan" not in text
 
     def test_report_from_reloaded_store(self, tmp_path):
-        """The same table renders from the persisted JSON alone."""
-        path = tmp_path / "store.json"
-        live = run_corpus(store=ResultStore(path))
-        reloaded = ResultStore(path)
-        # Store order may differ from input order; compare per-baseline
-        # aggregates, which are order-insensitive sets of measurements.
-        assert (baseline_speedups(sorted(reloaded.records(), key=lambda r: r["name"]))
-                == baseline_speedups(sorted(live.records, key=lambda r: r["name"])))
+        """The same table renders from the stored records alone."""
+        path = tmp_path / "store"
+        live = run_corpus(store=JournalStore(path))
+        reloaded = run_corpus(store=JournalStore(path))
+        assert reloaded.stats.measured == 0
+        assert (render_corpus_report(reloaded.records)
+                == render_corpus_report(live.records))
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.sparse import write_matrix_market
+from repro.store import JournalStore
 from store_damage import damage_record
 
 LEGACY_STORE = os.path.join(os.path.dirname(__file__), "data", "legacy-store")
@@ -149,10 +150,10 @@ class TestBench:
         return paths
 
     def test_bench_smoke(self, two_matrices, tmp_path, capsys):
-        store = tmp_path / "results.json"
+        store = tmp_path / "store"
         code = main([
             "bench", *two_matrices, "--evals", "12",
-            "--resume", str(store),
+            "--store", str(store),
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -161,25 +162,38 @@ class TestBench:
         assert "Creativity" in out
         assert "2 measured, 0 resumed" in out
         assert "inf" not in out and "nan" not in out
-        assert store.exists()
+        kinds = [e.kind for e in JournalStore(store).entries()]
+        assert kinds.count("bench") == 2
 
     def test_bench_resumes_from_store(self, two_matrices, tmp_path, capsys):
-        store = tmp_path / "results.json"
-        args = ["bench", *two_matrices, "--evals", "12", "--resume", str(store)]
+        store = tmp_path / "store"
+        args = ["bench", *two_matrices, "--evals", "12", "--store", str(store)]
         assert main(args) == 0
-        capsys.readouterr()
+        first = capsys.readouterr().out
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "0 measured, 2 resumed" in out
+
+        def tables(text):
+            return text[text.index("Corpus evaluation on"):]
+
+        assert tables(out) == tables(first)
 
     def test_bench_corpus_slice(self, capsys):
         assert main(["bench", "@corpus:2", "--evals", "8"]) == 0
         out = capsys.readouterr().out
         assert "2 matrices" in out
 
-    def test_bench_bad_corpus_slice(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "@corpus:zzz", "--evals", "8"])
+    def test_bench_bad_corpus_slice(self, capsys):
+        for spec, reason in (
+            ("@corpus:zzz", "bad corpus slice '@corpus:zzz'"),
+            ("@corpus:3-1", "empty corpus slice '@corpus:3-1'"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["bench", spec, "--evals", "8"])
+            assert exit_info.value.code == 2
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {reason}")
 
 
 class TestDesignStoreFlag:
@@ -309,6 +323,7 @@ class TestOneStore:
             (bad_header, "cannot read design-store header"),
             (bad_schema, "schema 99"),
             (LEGACY_STORE, "store migrate"),
+            (a_file / "sub", "cannot create store"),
         ]
         for path, reason in cases:
             with pytest.raises(SystemExit) as exit_info:
@@ -318,6 +333,16 @@ class TestOneStore:
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert reason in lines[0]
+
+
+    @pytest.mark.parametrize("command", ["search", "bench"])
+    def test_warm_start_without_store_exits_cleanly(self, command, mtx_file,
+                                                     capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, mtx_file, "--evals", "8", "--warm-start"])
+        assert exit_info.value.code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["error: --warm-start requires --store DIR"]
 
 
 class TestSearchMultiExport:

@@ -91,6 +91,11 @@ class TestOpenStore:
         reopened = open_store(tmp_path / "s", backend="journal", create=False)
         assert reopened.get_result(_TOKENS[0], ARCH)["best_gflops"] == 1.0
 
+    def test_uncreatable_path_is_a_store_error(self, tmp_path):
+        (tmp_path / "file").write_text("{}")
+        with pytest.raises(StoreError, match="cannot create store"):
+            open_store(tmp_path / "file" / "s")
+
     def test_unknown_backend_rejected(self, tmp_path):
         for backend in ("sqlite", "dir", "auto"):
             with pytest.raises(StoreError, match="unknown store backend"):
@@ -147,6 +152,28 @@ class TestJournalBasics:
         # same epoch, grown file: incremental replay, not a full reload
         assert h2.get_result(_TOKENS[1], ARCH)["best_gflops"] == 2.0
         assert h2._state.epoch == epoch_before
+
+    def test_bench_entries_keyed_by_config_and_kept(self, tmp_path):
+        """Corpus records are first-writer-wins per (config, matrix),
+        listed by verify, kept by gc and carried through compaction."""
+        config, other = {"gpu": ARCH, "seed": 0}, {"gpu": ARCH, "seed": 1}
+        store = JournalStore(tmp_path / "s")
+        store.put_bench(config, "m0:aa", {"name": "m0", "search": {"best_gflops": 1.0}})
+        store.put_bench(config, "m0:aa", {"name": "m0", "search": {"best_gflops": 2.0}})
+        store.put_bench(other, "m0:aa", {"name": "m0", "search": {"best_gflops": 3.0}})
+        assert store.get_bench(config, "m0:aa")["search"]["best_gflops"] == 1.0
+        assert store.get_bench(other, "m0:aa")["search"]["best_gflops"] == 3.0
+        assert store.get_bench({"gpu": ARCH, "seed": 2}, "m0:aa") is None
+        assert store.get_bench(config, "m1:bb") is None
+        statuses = store.verify()
+        assert [(s.kind, s.ok, s.matrix) for s in statuses] == [
+            ("bench", True, "m0"), ("bench", True, "m0")
+        ]
+        assert store.gc() == ([], [])
+        assert store.compact()["bench"] == 2
+        fresh = JournalStore(tmp_path / "s")
+        assert len(fresh) == 2
+        assert fresh.get_bench(config, "m0:aa")["search"]["best_gflops"] == 1.0
 
     def test_claims_are_at_most_once_and_durable(self, tmp_path):
         store = JournalStore(tmp_path / "s")

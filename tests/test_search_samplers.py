@@ -304,7 +304,7 @@ class TestScrambledSobol:
 # ---------------------------------------------------------------------------
 
 class TestConfigPinning:
-    def test_default_sampler_pins_no_keys(self):
+    def test_default_sampler_pinned_in_config_only(self):
         runner = CorpusRunner(
             A100, budget=SearchBudget(max_total_evals=24), seed=0
         )
@@ -312,8 +312,8 @@ class TestConfigPinning:
             config = runner.config()
             matrix = power_law_matrix(256, avg_degree=5, seed=3, name="pl-256")
             record = runner._evaluate_matrix(matrix, family="synthetic", seed=0)
-        assert "sampler" not in config["engine"]
-        assert "sampler_seed" not in config["engine"]
+        assert config["engine"]["sampler"] == "annealer"
+        assert config["engine"]["sampler_seed"] is None
         assert "sampler" not in record["search"]
         assert "sampler_pruned" not in record["search"]
 

@@ -288,13 +288,12 @@ class TestBenchByteIdentity:
         blob = json.dumps([strip(r) for r in result.records], sort_keys=True)
         digest = hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
         assert digest == GOLDEN_BENCH_DIGEST
-        # spmv records carry no workload key (historical bytes) and no
-        # workload config pin (old result stores stay resumable).
+        # spmv records carry no workload key and pruning-off records no
+        # static_pruned counter (historical bytes); the run config every
+        # bench entry is keyed by pins both settings explicitly.
         assert all("workload" not in r for r in result.records)
-        assert "workload" not in runner.config()
-        # pruning-off runs pin no static_pruning key and no counter, so
-        # pre-verifier result stores resume under the same config bytes.
-        assert "static_pruning" not in runner.config()["engine"]
+        assert runner.config()["workload"] == "spmv"
+        assert runner.config()["engine"]["static_pruning"] is False
         assert all("static_pruned" not in r["search"] for r in result.records)
 
 
