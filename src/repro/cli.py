@@ -87,7 +87,7 @@ from repro.bench import CorpusRunner, render_corpus_report
 from repro.core.operators import OPERATOR_REGISTRY, Stage
 from repro.export import export_program, write_artifact
 from repro.gpu import gpu_by_name
-from repro.search import SearchBudget, SearchEngine
+from repro.search import SearchBudget, SearchEngine, get_sampler
 from repro.search.evaluation import matrix_token
 from repro.serve import Frontend, default_serve_budget
 from repro.sparse import NAMED_MATRICES, corpus, named_matrix, read_matrix_market
@@ -163,20 +163,28 @@ def _workload_arg(value: str) -> Workload:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _workers_arg(value: str) -> int:
-    """argparse type for ``serve --workers``: rejects non-integers and
-    negative counts with a clean usage error (0 = in-process frontend)."""
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer worker count, got {value!r}"
-        ) from None
-    if workers < 0:
-        raise argparse.ArgumentTypeError(
-            f"worker count must be >= 0, got {workers}"
-        )
-    return workers
+def _count_arg(what: str, minimum: int):
+    """argparse type for a count option (``--evals``, ``--samples``,
+    ``serve --workers``): a non-integer or a count below ``minimum`` is a
+    clean usage error (exit 2) instead of a silently empty run."""
+
+    def parse(value: str) -> int:
+        try:
+            count = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer {what}, got {value!r}"
+            ) from None
+        if count < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= {minimum}, got {count}"
+            )
+        return count
+
+    return parse
+
+
+_evals_arg = _count_arg("evaluation count", 1)
 
 
 def _deadline_arg(value: str) -> float:
@@ -197,9 +205,7 @@ def _deadline_arg(value: str) -> float:
 
 def _sampler_arg(value: str):
     """argparse type for ``--sampler``: a bad name errors with the list of
-    registered samplers instead of surfacing a KeyError traceback."""
-    from repro.search.samplers import get_sampler
-
+    samplers instead of surfacing a KeyError traceback."""
     try:
         return get_sampler(value)
     except ValueError as exc:
@@ -208,7 +214,7 @@ def _sampler_arg(value: str):
 
 def _sampler_seed_arg(value: str) -> int:
     """argparse type for ``--sampler-seed``: rejects non-integers with a
-    clean usage error (mirrors ``--workers``)."""
+    clean usage error (mirrors the count options)."""
     try:
         return int(value)
     except ValueError:
@@ -800,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Matrix Market path(s) or @named-matrix(es); several "
                         "matrices share one engine and design cache")
     p.add_argument("--gpu", type=_gpu_arg, default="A100")
-    p.add_argument("--evals", type=int, default=200,
+    p.add_argument("--evals", type=_evals_arg, default=200,
                    help="max program evaluations")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
@@ -811,11 +817,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", type=_sampler_arg, default=None,
                    metavar="NAME",
                    help="candidate sampler: annealer (default, the paper's "
-                        "three-level loop), qmc, tpe, or dts; adaptive "
-                        "samplers add successive-halving eval pruning")
+                        "three-level loop) or tpe (adaptive, with "
+                        "successive-halving eval pruning)")
     p.add_argument("--sampler-seed", type=_sampler_seed_arg, default=None,
                    metavar="S",
-                   help="seed of the adaptive samplers' private RNG "
+                   help="seed of the tpe sampler's private RNG "
                         "(default: derived from --seed; the annealer "
                         "ignores it)")
     p.add_argument("--out", default=None, help="export artifact directory")
@@ -849,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Matrix Market path(s), @named-matrix(es), or "
                         "@corpus:N / @corpus:K-N corpus slices")
     p.add_argument("--gpu", type=_gpu_arg, default="A100")
-    p.add_argument("--evals", type=int, default=160,
+    p.add_argument("--evals", type=_evals_arg, default=160,
                    help="max search evaluations per matrix")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
@@ -881,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True, metavar="DIR",
                    help="design-store directory backing the frontend")
     p.add_argument("--gpu", type=_gpu_arg, default="A100")
-    p.add_argument("--evals", type=int, default=96,
+    p.add_argument("--evals", type=_evals_arg, default=96,
                    help="evaluation budget of the bounded fallback search")
     p.add_argument("--workload", type=_workload_arg,
                    default=get_workload("spmv"), metavar="NAME",
@@ -890,7 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(sorted(WORKLOADS))
                         + " (default: spmv)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_workers_arg, default=0, metavar="N",
+    p.add_argument("--workers", type=_count_arg("worker count", 0),
+                   default=0, metavar="N",
                    help="N >= 1: serve through a supervised pool of N "
                         "resolver processes (crash restart, deadlines, "
                         "graceful degradation); 0: in-process frontend "
@@ -943,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workload the differential check runs under: "
                         + ", ".join(sorted(WORKLOADS))
                         + " (default: spmv)")
-    p.add_argument("--samples", type=int, default=12,
+    p.add_argument("--samples", type=_count_arg("sample count", 0), default=12,
                    help="sampled structures beyond the seeds (default 12)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)

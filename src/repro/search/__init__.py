@@ -8,14 +8,21 @@ equivalent).  Simulated annealing terminates the first two levels early and
 pruning rules ban operators that cannot pay off for the input's sparsity
 pattern.
 
-Candidate selection is pluggable (:mod:`repro.search.samplers`): the
-annealer above is the default :class:`Sampler`, with quasi-Monte-Carlo,
-TPE and dueling-bandit alternatives selected via ``SearchEngine(sampler=
-...)`` / ``--sampler``; adaptive samplers add successive-halving eval
-pruning (:class:`SuccessiveHalvingPruner`).
+Candidate selection goes through the ask/tell :class:`Sampler` interface
+(:mod:`repro.search.samplers`): the annealer above is the default, and the
+adaptive TPE sampler is selected via ``SearchEngine(sampler="tpe")`` /
+``--sampler tpe``; it adds successive-halving eval pruning
+(:class:`SuccessiveHalvingPruner`).
 """
 
-from repro.search.engine import SearchBudget, SearchEngine, SearchResult, EvalRecord
+from repro.search.engine import (
+    EvalRecord,
+    SearchBudget,
+    SearchEngine,
+    SearchResult,
+    get_sampler,
+    sampler_names,
+)
 from repro.search.evaluation import (
     CacheStats,
     DesignCache,
@@ -31,15 +38,10 @@ from repro.search.pruning import (
 )
 from repro.search.samplers import (
     AskBatch,
-    DTSSampler,
-    QMCSampler,
     Sampler,
     ScrambledSobol,
     SearchSpace,
     TPESampler,
-    get_sampler,
-    register_sampler,
-    sampler_names,
 )
 from repro.search.space import StructureSampler, enumerate_param_grid
 
@@ -65,10 +67,7 @@ __all__ = [
     "AskBatch",
     "SearchSpace",
     "ScrambledSobol",
-    "QMCSampler",
     "TPESampler",
-    "DTSSampler",
     "get_sampler",
-    "register_sampler",
     "sampler_names",
 ]

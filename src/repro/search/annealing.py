@@ -6,7 +6,7 @@ probability (keeping structure exploration alive early on), and the search
 stops once the temperature has cooled *and* no improvement has been seen for
 a patience window — or when the hard iteration/time budget runs out.
 
-:class:`AnnealerSampler` packages this behaviour behind the pluggable
+:class:`AnnealerSampler` packages this behaviour behind the
 :class:`~repro.search.samplers.Sampler` interface as the default sampler:
 it reproduces the legacy engine loop draw for draw (structure-sampler
 seeding, archetype-seed ordering, stratified coarse grids, Metropolis
@@ -26,7 +26,6 @@ from repro.search.samplers import (
     Sampler,
     SearchSpace,
     propose_structure,
-    register_sampler,
 )
 from repro.search.space import enumerate_param_grid
 
@@ -108,7 +107,6 @@ class AnnealingSchedule:
         )
 
 
-@register_sampler
 class AnnealerSampler(Sampler):
     """The historical three-level search behind the ask/tell interface.
 
@@ -117,7 +115,7 @@ class AnnealerSampler(Sampler):
     sampler's seed in :meth:`begin`, (2) per structure the stratified
     coarse-grid draw in :meth:`ask` followed by the Metropolis acceptance
     draw in :meth:`tell`.  The ``seed`` argument of ``begin`` is therefore
-    unused here (``--sampler-seed`` only affects the adaptive samplers).
+    unused here (``--sampler-seed`` only affects the TPE sampler).
     """
 
     name = "annealer"
@@ -147,7 +145,7 @@ class AnnealerSampler(Sampler):
         self._incumbent = 0.0
 
     # ------------------------------------------------------------------
-    def ask(self, history: Sequence) -> Optional[List[AskBatch]]:
+    def ask(self, history: Sequence) -> Optional[AskBatch]:
         if self._tried >= self._space.budget.max_structures:
             return None
         # Paper footnote 10: the "no pruning" baseline removes simulated
@@ -174,11 +172,10 @@ class AnnealerSampler(Sampler):
             cap=self._space.budget.coarse_evals_per_structure,
             rng=self._rng,
         )
-        return [AskBatch(proposal, assignments, level="coarse")]
+        return AskBatch(proposal, assignments, level="coarse")
 
-    def tell(self, batches: List[AskBatch], records: List[List]) -> None:
-        recs = records[0] if records else []
-        structure_best = max((r.gflops for r in recs), default=0.0)
+    def tell(self, batch: AskBatch, records: List) -> None:
+        structure_best = max((r.gflops for r in records), default=0.0)
         improved = structure_best > self._incumbent
         if self._schedule.accept(structure_best, self._incumbent, self._rng):
             self._incumbent = max(self._incumbent, structure_best)

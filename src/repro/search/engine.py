@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.core.kernel.program import GeneratedProgram
 from repro.core.optimizer import ModelDrivenCompressor
 from repro.gpu.arch import GPUSpec
 from repro.gpu.analysis import content_digest
-from repro.search.annealing import AnnealingSchedule
+from repro.search.annealing import AnnealerSampler, AnnealingSchedule
 from repro.search.batcheval import (
     BatchEvaluator,
     design_group_key,
@@ -61,7 +61,7 @@ from repro.search.samplers import (
     DEFAULT_SAMPLER_NAME,
     Sampler,
     SearchSpace,
-    get_sampler,
+    TPESampler,
 )
 from repro.search.space import (
     SampledStructure,
@@ -76,7 +76,43 @@ from repro.staticcheck.facts import MatrixFacts
 from repro.staticcheck.reduction import analyze_design
 from repro.workloads import DEFAULT_WORKLOAD, WORKLOADS, Workload, get_workload
 
-__all__ = ["SearchBudget", "EvalRecord", "SearchResult", "SearchEngine"]
+__all__ = [
+    "SearchBudget",
+    "EvalRecord",
+    "SearchResult",
+    "SearchEngine",
+    "get_sampler",
+    "sampler_names",
+]
+
+#: ``--sampler`` name -> sampler class (see :mod:`repro.search.samplers`).
+_SAMPLERS: Dict[str, Type[Sampler]] = {
+    AnnealerSampler.name: AnnealerSampler,
+    TPESampler.name: TPESampler,
+}
+
+
+def sampler_names() -> List[str]:
+    return sorted(_SAMPLERS)
+
+
+def get_sampler(name: Union[str, Type[Sampler], None]) -> Type[Sampler]:
+    """Resolve a sampler class by name (idempotent on classes).
+
+    Unknown names raise a :class:`ValueError` listing the samplers, so a
+    CLI typo reads as guidance rather than a KeyError.
+    """
+    if name is None:
+        return _SAMPLERS[DEFAULT_SAMPLER_NAME]
+    if isinstance(name, type) and issubclass(name, Sampler):
+        return name
+    try:
+        return _SAMPLERS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown sampler {name!r}; samplers: "
+            + ", ".join(sampler_names())
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -298,9 +334,9 @@ class SearchEngine:
         #: :mod:`repro.search.samplers`).  The default annealer reproduces
         #: the legacy engine behaviour byte for byte.
         self.sampler_cls = get_sampler(sampler)
-        #: seed of the adaptive samplers' private RNG; None derives it
-        #: from the per-search seed (the annealer draws from the engine
-        #: RNG regardless, so this only affects qmc/tpe/dts).
+        #: seed of the TPE sampler's private RNG; None derives it from
+        #: the per-search seed (the annealer draws from the engine RNG
+        #: regardless, so this only affects tpe).
         self.sampler_seed = sampler_seed
         #: successive-halving eval pruning for samplers that opt in
         #: (``Sampler.prunes``); losing candidates are dropped after a
@@ -435,25 +471,21 @@ class SearchEngine:
         # parameter assignments); the engine owns budgets, static pruning,
         # measurement and history recording.
         while not state.out_of_budget():
-            batches = sampler.ask(state.history)
-            if batches is None:
+            batch = sampler.ask(state.history)
+            if batch is None:
                 break  # sampler done (terminated, exhausted, or converged)
-            records_per_batch = []
-            for batch in batches:
-                if batch.proposal.signature not in structure_store:
-                    structure_store[batch.proposal.signature] = batch.proposal
-                    structures_tried += 1
-                records_per_batch.append(
-                    self._measure_batch(
-                        matrix,
-                        batch.proposal,
-                        batch.assignments,
-                        state,
-                        level=batch.level,
-                        prune=prune,
-                    )
-                )
-            sampler.tell(batches, records_per_batch)
+            if batch.proposal.signature not in structure_store:
+                structure_store[batch.proposal.signature] = batch.proposal
+                structures_tried += 1
+            records = self._measure_batch(
+                matrix,
+                batch.proposal,
+                batch.assignments,
+                state,
+                level=batch.level,
+                prune=prune,
+            )
+            sampler.tell(batch, records)
 
         coarse_iterations = state.evals
 
@@ -523,7 +555,7 @@ class SearchEngine:
         anything else — they consume no evaluation slot and leave no
         history record, only the ``static_pruned`` counter.
 
-        With ``prune`` set (adaptive samplers), survivors of a cheap
+        With ``prune`` set (the TPE sampler), survivors of a cheap
         successive-halving cost-projection tournament are fully measured
         first and the losers are skipped entirely once a valid winner
         exists (``sampler_pruned``); otherwise every candidate is

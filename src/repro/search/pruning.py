@@ -9,7 +9,7 @@ reductions, and so on.  Users can add their own rules.
 
 :class:`SuccessiveHalvingPruner` prunes at a different layer: instead of
 banning operators up front, it drops *candidates within one evaluation
-batch* after cheap cost-projection rungs, so adaptive samplers spend full
+batch* after cheap cost-projection rungs, so samplers that opt in spend full
 measurements (functional execution + numeric verification) only on rung
 survivors.  See :meth:`SearchEngine._measure_pruned` for the driving loop.
 """

@@ -1,57 +1,44 @@
-"""Pluggable candidate samplers: the ask/tell layer of the search engine.
+"""Candidate samplers: the ask/tell layer of the search engine.
 
-The three-level engine historically hard-wired *how* candidates are chosen:
-annealing over structures, a stratified coarse grid per structure, GBT
-interpolation on top.  This module makes that choice a first-class plugin
-(the same move the workload layer made for *what* is tuned): a
-:class:`Sampler` proposes evaluation batches (``ask``) and folds measured
-results back in (``tell``), while the engine keeps everything samplers must
-not own — budgets, static pruning, the staged evaluator, history recording.
+A :class:`Sampler` decides *which* candidates to try — it proposes one
+structure's parameter assignments per ``ask`` and folds the measured
+records back in with ``tell`` — while the engine keeps everything samplers
+must not own: budgets, static pruning, the staged evaluator, history
+recording.
 
-Four samplers ship:
+Two samplers ship (``SearchEngine(sampler=...)`` / ``--sampler``):
 
 ``annealer`` (:class:`~repro.search.annealing.AnnealerSampler`)
-    The historical behaviour behind the interface — structure proposals
-    with archetype seeding, simulated-annealing acceptance/termination and
-    the stratified coarse grid.  It is the default and draws from the
-    *engine's* RNG in exactly the legacy order, so default-sampler search
-    histories stay byte-identical to the pre-interface code (golden-digest
+    The paper's search: structure proposals with archetype seeding,
+    simulated-annealing acceptance/termination, the stratified coarse grid
+    and the engine's GBT fine level afterwards.  It is the default and
+    draws from the *engine's* RNG in exactly the pre-interface order, so
+    default-sampler search histories stay byte-identical (golden-digest
     asserted in ``tests/test_search_samplers.py``).
 
-``qmc`` (:class:`QMCSampler`)
-    Quasi-Monte-Carlo startup sampler: scrambled Sobol'-style digital
-    points over every structure's runtime-parameter grid.  Space-filling
-    coverage with no model — the recommended startup phase and a strong
-    cheap baseline for the sample-efficiency benchmark.
-
 ``tpe`` (:class:`TPESampler`)
-    Tree-structured-Parzen-Estimator-style sampler: told observations are
+    Tree-structured-Parzen-Estimator-style sampler: a scrambled-Sobol'
+    startup sweep over the archetype seeds, then told observations are
     split into good/bad sets by a gamma quantile, per-parameter discrete
     densities are fit to each, and candidates are asked by expected-
     improvement ratio ``l_good / l_bad`` (the optuna TPE recipe adapted to
-    the discrete operator-parameter grids).
+    the discrete operator-parameter grids).  It draws only from its own
+    seeded RNG inside ``ask`` — never during evaluation — so its ask
+    sequence is byte-identical with the design store on or off, and it
+    opts in to successive-halving eval pruning (``prunes = True``): the
+    engine projects candidate costs cheaply and fully measures only rung
+    survivors (see :class:`~repro.search.pruning.SuccessiveHalvingPruner`).
 
-``dts`` (:class:`DTSSampler`)
-    Double-Thompson-Sampling dueling bandit over design combos (PAPERS.md):
-    structures are *arms*, each ask selects a (champion, challenger) pair
-    by D-TS over the pairwise win matrix and spends the next evaluation
-    batch on their candidates; the measured-GFLOPS comparison updates the
-    duel record.  Fits this engine exactly: candidates are naturally
-    compared, not scored absolutely.
-
-Adaptive samplers (everything but the annealer) draw only from their own
-seeded RNG inside ``ask``/``tell`` — never during evaluation — so ask
-sequences are byte-identical with the design store on or off, and they opt in
-to successive-halving eval pruning (``prunes = True``): the engine
-projects candidate costs cheaply and fully measures only rung survivors
-(see :class:`~repro.search.pruning.SuccessiveHalvingPruner`).
+The engine resolves ``--sampler`` names through its fixed two-entry table
+(:func:`~repro.search.engine.get_sampler`, which also accepts a
+:class:`Sampler` subclass).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -66,15 +53,9 @@ __all__ = [
     "AskBatch",
     "SearchSpace",
     "Sampler",
-    "QMCSampler",
     "TPESampler",
-    "DTSSampler",
     "ScrambledSobol",
-    "SAMPLERS",
     "DEFAULT_SAMPLER_NAME",
-    "register_sampler",
-    "get_sampler",
-    "sampler_names",
 ]
 
 #: Name of the sampler whose behaviour (and bench/store config keys) must
@@ -88,12 +69,7 @@ DEFAULT_SAMPLER_NAME = "annealer"
 
 @dataclass
 class AskBatch:
-    """One structure's worth of candidates to evaluate next.
-
-    ``ask`` returns a *list* of batches measured back-to-back before the
-    single matching ``tell`` — the dueling-bandit sampler needs both duel
-    arms measured before it can record the comparison.
-    """
+    """One structure's worth of candidates to evaluate next."""
 
     proposal: SampledStructure
     assignments: List[Dict]
@@ -159,17 +135,16 @@ class Sampler(ABC):
 
         sampler.begin(space, rng=search_rng, seed=sampler_seed)
         while budget remains:
-            batches = sampler.ask(history)      # None = sampler done
-            records = engine.measure(batches)   # full or SH-pruned
-            sampler.tell(batches, records)
+            batch = sampler.ask(history)      # None = sampler done
+            records = engine.measure(batch)   # full or SH-pruned
+            sampler.tell(batch, records)
 
     ``rng`` is the engine's live per-search generator — only the default
     annealer may draw from it (that is what byte-identity requires);
-    adaptive samplers must derive all randomness from ``seed`` so ask
-    sequences are reproducible across worker counts.
+    adaptive samplers must derive all randomness from ``seed``.
     """
 
-    #: registry key (and CLI spelling).
+    #: CLI spelling (``--sampler``) and ``SearchResult.sampler``.
     name: str = ""
     #: run the engine's GBT fine-grid interpolation level after the ask
     #: loop (the legacy three-level shape; adaptive samplers do their own
@@ -187,8 +162,8 @@ class Sampler(ABC):
         """Bind the per-search context before the first ask."""
 
     @abstractmethod
-    def ask(self, history: Sequence) -> Optional[List[AskBatch]]:
-        """Next evaluation batches, or None when the sampler is done.
+    def ask(self, history: Sequence) -> Optional[AskBatch]:
+        """Next evaluation batch, or None when the sampler is done.
 
         ``history`` is the live list of measured
         :class:`~repro.search.engine.EvalRecord` (pruned candidates never
@@ -196,63 +171,9 @@ class Sampler(ABC):
         """
 
     @abstractmethod
-    def tell(
-        self, batches: List[AskBatch], records: List[List]
-    ) -> None:
-        """Fold measurements back in; ``records[i]`` parallels
-        ``batches[i]`` (shorter when the budget truncated the batch)."""
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-#: name -> sampler class (the CLI's ``--sampler`` choices).
-SAMPLERS: Dict[str, Type[Sampler]] = {}
-
-
-def register_sampler(cls: Type[Sampler]) -> Type[Sampler]:
-    """Add a sampler class to the registry (duplicate names error)."""
-    if not cls.name:
-        raise ValueError("sampler must define a name")
-    if cls.name in SAMPLERS:
-        raise ValueError(f"duplicate sampler {cls.name!r}")
-    SAMPLERS[cls.name] = cls
-    return cls
-
-
-def _ensure_builtins() -> None:
-    # The annealer lives in repro.search.annealing (which imports this
-    # module for the base class); importing it lazily here avoids the
-    # cycle while keeping every entry point's registry complete.
-    import repro.search.annealing  # noqa: F401
-
-
-def sampler_names() -> List[str]:
-    _ensure_builtins()
-    return sorted(SAMPLERS)
-
-
-def get_sampler(
-    name: Union[str, Type[Sampler], None]
-) -> Type[Sampler]:
-    """Resolve a sampler class by name (idempotent on classes).
-
-    Unknown names raise a :class:`ValueError` listing the registered
-    samplers, so a CLI typo reads as guidance rather than a KeyError.
-    """
-    _ensure_builtins()
-    if name is None:
-        return SAMPLERS[DEFAULT_SAMPLER_NAME]
-    if isinstance(name, type) and issubclass(name, Sampler):
-        return name
-    try:
-        return SAMPLERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sampler {name!r}; registered samplers: "
-            + ", ".join(sorted(SAMPLERS))
-        ) from None
+    def tell(self, batch: AskBatch, records: List) -> None:
+        """Fold the batch's new history records back in (fewer than its
+        assignments when pruning or the budget cut the batch)."""
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +257,7 @@ class ScrambledSobol:
 
 
 # ---------------------------------------------------------------------------
-# Shared grid helpers
+# Per-structure candidate streams (the TPE sampler's startup and fallback)
 # ---------------------------------------------------------------------------
 
 def _assignment_key(assignment: Dict) -> Tuple:
@@ -408,16 +329,50 @@ class _StructurePoints:
         return out
 
 
-class _AdaptiveBase(Sampler):
-    """Common machinery of the adaptive samplers: a structure pool built
-    from archetype seeds plus random proposals, and per-structure
-    QMC candidate streams."""
+# ---------------------------------------------------------------------------
+# TPE sampler
+# ---------------------------------------------------------------------------
 
+class TPESampler(Sampler):
+    """Discrete TPE: good/bad Parzen densities over the parameter grids.
+
+    The structure pool starts as the archetype seeds; random proposals
+    join it later.  Each pool member owns a candidate stream (its
+    canonical default, then scrambled-Sobol' points over the fine grids).
+    Startup measures one stream batch per leading archetype seed.  After
+    that each ask (1) picks a structure by probability-matching on its
+    share of the *good* observations (with an epsilon chance of proposing
+    a brand-new structure), (2) fits per-parameter categorical densities
+    to the structure's good and bad observations (add-``alpha``
+    smoothing), and (3) draws ``n_ei_candidates`` proposals from the good
+    density, ranking them by the expected-improvement surrogate
+    ``log l_good - log l_bad`` and asking the top ``batch_size``.
+    """
+
+    name = "tpe"
     uses_ml_level = False
     prunes = True
 
-    #: candidates asked per batch (before successive-halving).
+    #: candidates asked per model batch (before successive-halving).
     batch_size = 6
+    #: structures receiving a startup batch before the model kicks in.
+    #: Covers every archetype seed: the seeds are the classic formats, and
+    #: successive halving keeps a startup batch at ~2 full measurements,
+    #: so sweeping all of them stays cheap and avoids missing the seed the
+    #: incumbent annealer would have found early.
+    n_startup_structures = 12
+    #: points per startup batch.
+    startup_points = 5
+    #: top quantile of valid observations forming the "good" density.
+    gamma = 0.25
+    #: proposals drawn from the good density per ask.
+    n_ei_candidates = 24
+    #: add-this smoothing mass per grid value in both densities.
+    alpha = 1.0
+    #: chance per ask of exploring a brand-new random structure.
+    epsilon_new = 0.1
+    #: observations a structure needs before TPE models it.
+    min_obs = 4
 
     def begin(
         self, space: SearchSpace, rng: np.random.Generator, seed: int
@@ -431,8 +386,42 @@ class _AdaptiveBase(Sampler):
         self._order: List[Tuple] = []
         for proposal in space.seed_proposals():
             self._add(proposal)
+        self._startup = list(self._order[: self.n_startup_structures])
+        if not self._startup and self._add_random() is not None:
+            self._startup = list(self._order)
 
-    # -- pool -----------------------------------------------------------
+    # -- ask/tell --------------------------------------------------------
+    def ask(self, history) -> Optional[AskBatch]:
+        if self._startup:
+            sig = self._startup.pop(0)
+            batch = self._batch(sig, self.startup_points, level="coarse")
+            if batch is not None:
+                return batch
+            return self.ask(history)
+        if self.rng.random() < self.epsilon_new:
+            sig = self._add_random()
+            if sig is not None:
+                batch = self._batch(sig, self.startup_points, level="coarse")
+                if batch is not None:
+                    return batch
+        by_sig = self._records_by_structure(history)
+        sig = self._pick_structure(by_sig)
+        if sig is None:
+            return None
+        if len(by_sig.get(sig, ())) < self.min_obs:
+            batch = self._batch(sig, self.startup_points, level="coarse")
+        else:
+            batch = self._tpe_batch(sig, by_sig[sig])
+        if batch is None:
+            # Stream exhausted: retire the structure and move on.
+            self._order.remove(sig)
+            return self.ask(history) if self._order else None
+        return batch
+
+    def tell(self, batch: AskBatch, records: List) -> None:
+        pass  # the model reads every observation back via ask(history)
+
+    # -- pool ------------------------------------------------------------
     def _add(self, proposal: SampledStructure) -> Optional[Tuple]:
         sig = proposal.signature
         if sig in self._pool:
@@ -455,118 +444,6 @@ class _AdaptiveBase(Sampler):
         if not assignments:
             return None
         return AskBatch(points.proposal, assignments, level=level)
-
-    def tell(self, batches: List[AskBatch], records: List[List]) -> None:
-        pass  # history-driven samplers read back via ask(history)
-
-
-# ---------------------------------------------------------------------------
-# QMC startup sampler
-# ---------------------------------------------------------------------------
-
-@register_sampler
-class QMCSampler(_AdaptiveBase):
-    """Scrambled-Sobol' space-filling sweep over the parameter grids.
-
-    Visits the archetype seeds first (their canonical default assignment
-    is always point 0 — the classic format each archetype encodes), fills
-    the structure pool with random proposals up to the structure budget,
-    and asks one low-discrepancy batch per structure per round until the
-    evaluation budget runs out.  No model, no history dependence: the ask
-    sequence is a pure function of the sampler seed.
-    """
-
-    name = "qmc"
-
-    def begin(self, space, rng, seed) -> None:
-        super().begin(space, rng, seed)
-        while self._add_random() is not None:
-            pass
-        self._cursor = 0
-
-    def ask(self, history) -> Optional[List[AskBatch]]:
-        points = self.space.budget.coarse_evals_per_structure
-        for _ in range(len(self._order)):
-            sig = self._order[self._cursor % len(self._order)]
-            self._cursor += 1
-            batch = self._batch(sig, points, level="coarse")
-            if batch is not None:
-                return [batch]
-        return None  # every structure's stream is exhausted
-
-
-# ---------------------------------------------------------------------------
-# TPE sampler
-# ---------------------------------------------------------------------------
-
-@register_sampler
-class TPESampler(_AdaptiveBase):
-    """Discrete TPE: good/bad Parzen densities over the parameter grids.
-
-    Startup measures QMC batches on the leading archetype seeds.  After
-    that each ask (1) picks a structure by probability-matching on its
-    share of the *good* observations (with an epsilon chance of proposing
-    a brand-new structure), (2) fits per-parameter categorical densities
-    to the structure's good and bad observations (add-``alpha``
-    smoothing), and (3) draws ``n_ei_candidates`` proposals from the good
-    density, ranking them by the expected-improvement surrogate
-    ``log l_good - log l_bad`` and asking the top ``batch_size``.
-    """
-
-    name = "tpe"
-
-    #: structures receiving a QMC startup batch before the model kicks in.
-    #: Covers every archetype seed: the seeds are the classic formats, and
-    #: successive halving keeps a startup batch at ~2 full measurements,
-    #: so sweeping all of them stays cheap and avoids missing the seed the
-    #: incumbent annealer would have found early.
-    n_startup_structures = 12
-    #: points per startup batch.
-    startup_points = 5
-    #: top quantile of valid observations forming the "good" density.
-    gamma = 0.25
-    #: proposals drawn from the good density per ask.
-    n_ei_candidates = 24
-    #: add-this smoothing mass per grid value in both densities.
-    alpha = 1.0
-    #: chance per ask of exploring a brand-new random structure.
-    epsilon_new = 0.1
-    #: observations a structure needs before TPE models it.
-    min_obs = 4
-
-    def begin(self, space, rng, seed) -> None:
-        super().begin(space, rng, seed)
-        self._startup = list(self._order[: self.n_startup_structures])
-        if not self._startup and self._add_random() is not None:
-            self._startup = list(self._order)
-
-    # -- ask ------------------------------------------------------------
-    def ask(self, history) -> Optional[List[AskBatch]]:
-        if self._startup:
-            sig = self._startup.pop(0)
-            batch = self._batch(sig, self.startup_points, level="coarse")
-            if batch is not None:
-                return [batch]
-            return self.ask(history)
-        if self.rng.random() < self.epsilon_new:
-            sig = self._add_random()
-            if sig is not None:
-                batch = self._batch(sig, self.startup_points, level="coarse")
-                if batch is not None:
-                    return [batch]
-        by_sig = self._records_by_structure(history)
-        sig = self._pick_structure(by_sig)
-        if sig is None:
-            return None
-        if len(by_sig.get(sig, ())) < self.min_obs:
-            batch = self._batch(sig, self.startup_points, level="coarse")
-        else:
-            batch = self._tpe_batch(sig, by_sig[sig])
-        if batch is None:
-            # Stream exhausted: retire the structure and move on.
-            self._order.remove(sig)
-            return self.ask(history) if self._order else None
-        return [batch]
 
     # -- internals ------------------------------------------------------
     def _records_by_structure(self, history) -> Dict[Tuple, List]:
@@ -650,152 +527,3 @@ class TPESampler(_AdaptiveBase):
                     counts[fine.index(value)] += 1.0
             out.append(counts / counts.sum())
         return out
-
-
-# ---------------------------------------------------------------------------
-# Double Thompson Sampling dueling bandit
-# ---------------------------------------------------------------------------
-
-@register_sampler
-class DTSSampler(_AdaptiveBase):
-    """D-TS dueling bandit over design combos (arms = structures).
-
-    Candidates here are naturally *compared* on measured GFLOPS rather
-    than scored on an absolute scale, which is precisely the dueling-
-    bandit setting.  Each adaptive ask runs the two D-TS selections —
-    champion by sampled Copeland score among the upper-confidence winners,
-    challenger by sampled beat-probability among plausible beaters — and
-    spends the next evaluation batch on *both* arms' fresh candidates; the
-    better measured batch wins the duel and updates the Beta-posterior
-    win matrix.
-    """
-
-    name = "dts"
-
-    #: points per arm in the startup round-robin.
-    startup_points = 3
-    #: fresh points per duel arm.
-    duel_points = 3
-    #: UCB/LCB exploration constant (alpha of the D-TS paper).
-    ts_alpha = 0.6
-    #: random arms added beyond the archetype seeds.
-    extra_arms = 4
-
-    def begin(self, space, rng, seed) -> None:
-        super().begin(space, rng, seed)
-        for _ in range(self.extra_arms):
-            if self._add_random() is None:
-                break
-        n = len(self._order)
-        self._wins = np.zeros((n, n), dtype=np.float64)
-        self._alive = [True] * n
-        self._initialised = [False] * n
-        self._duels = 0
-        self._pending: Optional[Tuple[int, int]] = None
-
-    # -- ask ------------------------------------------------------------
-    def ask(self, history) -> Optional[List[AskBatch]]:
-        # Startup: one batch per arm so every duel has a measurement.
-        for i, done in enumerate(self._initialised):
-            if done or not self._alive[i]:
-                continue
-            batch = self._batch(self._order[i], self.startup_points, "coarse")
-            self._initialised[i] = True
-            if batch is None:
-                self._alive[i] = False
-                continue
-            self._pending = None
-            return [batch]
-        alive = [i for i, a in enumerate(self._alive) if a]
-        if not alive:
-            return None
-        if len(alive) == 1:
-            batch = self._arm_batch(alive[0])
-            self._pending = None
-            return [batch] if batch else None
-        first, second = self._select(alive)
-        batches, arms = [], []
-        for arm in (first, second):
-            batch = self._arm_batch(arm)
-            if batch is not None:
-                batches.append(batch)
-                arms.append(arm)
-        if not batches:
-            return None
-        self._pending = tuple(arms) if len(arms) == 2 else None
-        return batches
-
-    def _arm_batch(self, arm: int) -> Optional[AskBatch]:
-        batch = self._batch(self._order[arm], self.duel_points, level="fine")
-        if batch is None:
-            self._alive[arm] = False
-        return batch
-
-    # -- D-TS selection --------------------------------------------------
-    def _select(self, alive: List[int]) -> Tuple[int, int]:
-        B = self._wins
-        t = self._duels + 1
-        N = B + B.T
-        safe_n = np.maximum(N, 1.0)
-        mean = np.where(N > 0, B / safe_n, 0.5)
-        bonus = np.sqrt(self.ts_alpha * np.log(max(t, 2)) / safe_n)
-        ucb = np.where(N > 0, mean + bonus, 1.0)
-        lcb = np.where(N > 0, mean - bonus, 0.0)
-        np.fill_diagonal(ucb, 0.5)
-        np.fill_diagonal(lcb, 0.5)
-
-        # Selection 1: champion among upper-confidence Copeland winners,
-        # ranked by sampled Copeland score.
-        cop_ub = [
-            sum(1 for j in alive if j != i and ucb[i, j] >= 0.5)
-            for i in alive
-        ]
-        contenders = [
-            arm for arm, score in zip(alive, cop_ub) if score == max(cop_ub)
-        ]
-        theta = np.full_like(B, 0.5)
-        for ai, i in enumerate(alive):
-            for j in alive[ai + 1:]:
-                theta[i, j] = self.rng.beta(B[i, j] + 1.0, B[j, i] + 1.0)
-                theta[j, i] = 1.0 - theta[i, j]
-        sampled_cop = {
-            i: sum(1 for j in alive if j != i and theta[i, j] > 0.5)
-            for i in contenders
-        }
-        best = max(sampled_cop.values())
-        first = int(
-            self.rng.choice([i for i, s in sampled_cop.items() if s == best])
-        )
-
-        # Selection 2: challenger = sampled most-likely beater of the
-        # champion among arms not confidently beaten already.
-        theta2 = {
-            j: float(self.rng.beta(B[j, first] + 1.0, B[first, j] + 1.0))
-            for j in alive
-            if j != first
-        }
-        plausible = {
-            j: v for j, v in theta2.items() if lcb[j, first] <= 0.5
-        } or theta2
-        best2 = max(plausible.values())
-        second = int(
-            self.rng.choice([j for j, v in plausible.items() if v == best2])
-        )
-        return first, second
-
-    # -- tell ------------------------------------------------------------
-    def tell(self, batches: List[AskBatch], records: List[List]) -> None:
-        if self._pending is None or len(records) != 2:
-            return
-        a1, a2 = self._pending
-        self._pending = None
-        best1 = max((r.gflops for r in records[0]), default=0.0)
-        best2 = max((r.gflops for r in records[1]), default=0.0)
-        self._duels += 1
-        if best1 > best2:
-            self._wins[a1, a2] += 1.0
-        elif best2 > best1:
-            self._wins[a2, a1] += 1.0
-        else:
-            self._wins[a1, a2] += 0.5
-            self._wins[a2, a1] += 0.5

@@ -16,11 +16,11 @@ I/O errors.  The design:
   worker can only break its own channel, which the supervisor reads as
   the death it is.
 * **Supervision** — the parent schedules every request itself (it always
-  knows which worker holds which request), watches worker liveness
-  (``Process.is_alive`` plus a shared heartbeat array the workers stamp
-  each loop) and per-request deadlines.  A dead worker is restarted (up
-  to ``max_restarts``) and its in-flight request re-dispatched; a request
-  past its deadline gets its worker killed and re-dispatched likewise.
+  knows which worker holds which request) and watches worker liveness:
+  ``Process.is_alive`` plus per-request deadlines.  A dead worker is
+  restarted (up to ``max_restarts``) and its in-flight request
+  re-dispatched; a request past its deadline gets its worker killed and
+  re-dispatched likewise.
 * **Degradation on re-dispatch** — every re-dispatch lowers the request's
   tier cap by one rung (search → neighbour → exact → degraded), so a
   request that keeps killing workers cannot livelock the pool: it
@@ -129,7 +129,6 @@ def _response_from_doc(doc: Dict) -> ServeResponse:
 
 
 def _worker_main(
-    worker_id: int,
     conn: Connection,
     store_path: str,
     gpu: GPUSpec,
@@ -138,7 +137,6 @@ def _worker_main(
     workload_name: str,
     include_artifacts: bool,
     faults: Optional[FaultPlan],
-    heartbeat,
 ) -> None:
     """Resolver worker: serve tasks from the private pipe until told to
     stop (a ``None`` task or the pipe closing).
@@ -169,7 +167,6 @@ def _worker_main(
     arch = gpu.name
     workload_name = frontend.workload.name
     while True:
-        heartbeat[worker_id] = time.monotonic()
         try:
             if not conn.poll(0.05):
                 continue
@@ -179,7 +176,6 @@ def _worker_main(
         if task is None:
             break
         req_id, attempt, max_tier, matrix = task
-        heartbeat[worker_id] = time.monotonic()
         if injector is not None and injector.decide(
             "worker_kill", req_id, attempt
         ):
@@ -291,7 +287,6 @@ class ResolverPool:
         # the store must exist before workers race to open it
         open_store(self.store_path)
         self._ctx = mp.get_context("fork")
-        self._heartbeat = self._ctx.Array("d", [0.0] * workers)
         self._slots: List[_Slot] = [_Slot() for _ in range(workers)]
         self._restarts_used = 0
         self._stats = PoolStats()
@@ -318,7 +313,6 @@ class ResolverPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
-                worker_id,
                 child_conn,
                 self.store_path,
                 self.gpu,
@@ -327,7 +321,6 @@ class ResolverPool:
                 self.workload,
                 self.include_artifacts,
                 self.faults,
-                self._heartbeat,
             ),
             daemon=True,
         )
@@ -335,7 +328,6 @@ class ResolverPool:
         child_conn.close()  # the child's end lives in the child only
         slot = self._slots[worker_id]
         slot.proc, slot.conn, slot.req_id = proc, parent_conn, None
-        self._heartbeat[worker_id] = time.monotonic()
 
     def _ensure_workers(self) -> None:
         for worker_id, slot in enumerate(self._slots):

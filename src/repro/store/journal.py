@@ -82,13 +82,14 @@ which ``verify`` reports and ``compact``/``gc`` reclaim.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
 import threading
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.designer import DesignLeaf
 from repro.reliability.faults import FaultInjector, FaultPlan, InjectedCrash
@@ -315,6 +316,9 @@ class JournalStore:
         self._state = _State()
         self._loaded = False
         self._append_serial = 0
+        #: numbers this handle's lock attempts for fault injection, so a
+        #: fault plan fires on the same attempts whatever other handles do
+        self._lock_serials = itertools.count(1)
         self.quarantine_log: List[Tuple[str, str]] = []
 
         if os.path.isfile(self.path):
@@ -404,6 +408,7 @@ class JournalStore:
                 else replace(self.lock_policy, attempts=blocking_attempts)
             ),
             faults=self.faults,
+            serials=self._lock_serials,
         )
 
     # ------------------------------------------------------------------
@@ -1051,26 +1056,27 @@ class JournalStore:
 
 
 class _JournalLock:
-    """Exclusive flock with bounded, fault-injectable acquisition."""
+    """Exclusive flock with bounded, fault-injectable acquisition.
 
-    _serial = 0
-    _serial_lock = threading.Lock()
+    ``serials`` numbers every acquisition attempt (retries included) for
+    the fault injector; the owning store handle supplies its own counter.
+    """
 
     def __init__(
         self,
         path: str,
         policy: RetryPolicy,
-        faults: Optional[FaultInjector] = None,
+        faults: Optional[FaultInjector],
+        serials: Iterator[int],
     ) -> None:
         self.path = path
         self.policy = policy
         self.faults = faults
+        self.serials = serials
         self._fd: Optional[int] = None
 
     def _try_acquire(self) -> None:
-        with _JournalLock._serial_lock:
-            _JournalLock._serial += 1
-            serial = _JournalLock._serial
+        serial = next(self.serials)
         if self.faults is not None and self.faults.decide(
             "lock_timeout", serial
         ):

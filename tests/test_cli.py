@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.sparse import write_matrix_market
 from repro.store import JournalStore
+from repro.workloads import Workload
 from store_damage import damage_record
 
 LEGACY_STORE = os.path.join(os.path.dirname(__file__), "data", "legacy-store")
@@ -132,9 +133,47 @@ class TestSearch:
         assert "cache hit" in out
         assert "scfxm1-2r" in out
 
-    def test_no_valid_candidate_reports_cleanly(self, mtx_file, capsys):
-        assert main(["search", mtx_file, "--evals", "0"]) == 1
+    def test_no_valid_candidate_reports_cleanly(self, mtx_file, capsys,
+                                                monkeypatch):
+        # every candidate fails numeric verification
+        monkeypatch.setattr(Workload, "allclose", lambda self, y, ref: False)
+        assert main(["search", mtx_file, "--evals", "4"]) == 1
         assert "no valid candidate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["search", "@scfxm1-2r", "--evals", "-3"],
+         "argument --evals: evaluation count must be >= 1, got -3"),
+        (["search", "@scfxm1-2r", "--evals", "0"],
+         "argument --evals: evaluation count must be >= 1, got 0"),
+        (["search", "@scfxm1-2r", "--evals", "many"],
+         "argument --evals: expected an integer evaluation count, "
+         "got 'many'"),
+        (["bench", "@corpus:1", "--evals", "-3"],
+         "argument --evals: evaluation count must be >= 1, got -3"),
+        (["serve", "@scfxm1-2r", "--store", "s", "--evals", "-3"],
+         "argument --evals: evaluation count must be >= 1, got -3"),
+        (["check", "--samples", "-2"],
+         "argument --samples: sample count must be >= 0, got -2"),
+    ])
+    def test_bad_counts_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"repro {argv[0]}: error: {message}"
+        )
+
+    @pytest.mark.parametrize("name", ["qmc", "dts", "bogus"])
+    def test_unknown_sampler_lists_the_samplers(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", "@scfxm1-2r", "--sampler", name])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"repro search: error: argument --sampler: unknown sampler "
+            f"{name!r}; samplers: annealer, tpe"
+        )
 
 class TestBench:
     """Corpus-pipeline smoke tests on two tiny generated matrices (the

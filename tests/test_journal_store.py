@@ -346,20 +346,37 @@ class TestLockingAndQuarantine:
         with pytest.raises(LockTimeoutError):
             store.put_result(_TOKENS[0], ARCH, _result(1.0))
 
-    def test_partial_injected_contention_is_survived_by_retry(self, tmp_path):
-        plan = FaultPlan(seed=3, lock_timeout_rate=0.4)
-        store = JournalStore(
-            tmp_path / "s",
-            faults=plan,
+    # Lock attempts are numbered per store handle: attempt 1 is the
+    # open-time recovery, then one per write plus one per retry.  Seed 0
+    # at rate 0.4 fires on attempts 3, 4 and 6 — the second and third
+    # writes each hit injected contention.
+    PARTIAL_PLAN = FaultPlan(seed=0, lock_timeout_rate=0.4)
+
+    def _partial_store(self, path, attempts):
+        return JournalStore(
+            path,
+            faults=self.PARTIAL_PLAN,
             lock_policy=RetryPolicy(
-                attempts=20, base_delay_s=0.0005, max_delay_s=0.002,
+                attempts=attempts, base_delay_s=0.0005, max_delay_s=0.002,
                 retry_on=(LockContended,),
             ),
         )
+
+    def test_partial_injected_contention_is_survived_by_retry(self, tmp_path):
+        store = self._partial_store(tmp_path / "s", attempts=20)
         for i, token in enumerate(_TOKENS):
             store.put_result(token, ARCH, _result(float(i)))
         assert len(store.results(ARCH)) == 3
         assert store.faults.fired.get("lock_timeout", 0) > 0
+
+    def test_partial_injected_contention_without_retry_fails(self, tmp_path):
+        """The same plan with a single attempt per lock: the first
+        injected fault is fatal, so retry is what survives it above."""
+        store = self._partial_store(tmp_path / "s", attempts=1)
+        store.put_result(_TOKENS[0], ARCH, _result(0.0))
+        with pytest.raises(LockTimeoutError):
+            store.put_result(_TOKENS[1], ARCH, _result(1.0))
+        assert store.faults.fired["lock_timeout"] == 1
 
     def test_unhydratable_design_is_quarantined(self, tmp_path):
         path = tmp_path / "s"

@@ -78,37 +78,52 @@ class TestTimeLimit:
     """The time limit is checked before every design group, so a search
     that runs out of time stops at a group boundary — also inside a batch.
 
-    The qmc sampler's third batch holds two design groups, so stopping
-    after the third group cuts that batch in half.
+    With seed 3 the tpe sampler's third batch holds two design groups, so
+    stopping after the third group cuts that batch in half.
     """
 
     STOP_AFTER = 3
 
     @staticmethod
     def _record_groups(engine):
-        groups = []
+        """Record each evaluated group's assignments, and the index of the
+        ask batch it belongs to."""
+        groups, batch_of = [], []
+        batches = [0]
         evaluate_group = engine.batch.evaluate_group
+        measure_batch = engine._measure_batch
 
         def recording(matrix, proposal, assignments, *args):
             groups.append([dict(a) for a in assignments])
+            batch_of.append(batches[0])
             return evaluate_group(matrix, proposal, assignments, *args)
 
+        def counting(*args, **kwargs):
+            batches[0] += 1
+            return measure_batch(*args, **kwargs)
+
         engine.batch.evaluate_group = recording
-        return groups
+        engine._measure_batch = counting
+        return groups, batch_of
 
     def test_stops_at_group_boundary(self, monkeypatch):
         m = banded_matrix(256, bandwidth=3, seed=1, name="time_limit")
         full_engine = SearchEngine(
-            A100, budget=SMALL_BUDGET, seed=3, sampler="qmc"
+            A100, budget=SMALL_BUDGET, seed=3, sampler="tpe"
         )
-        full_groups = self._record_groups(full_engine)
+        full_groups, full_batch_of = self._record_groups(full_engine)
         full_engine.search(m)
         assert len(full_groups) > self.STOP_AFTER
+        # the stop falls inside a batch: the first group left unmeasured
+        # belongs to the same batch as the last group measured
+        assert (
+            full_batch_of[self.STOP_AFTER - 1] == full_batch_of[self.STOP_AFTER]
+        )
 
         engine = SearchEngine(
-            A100, budget=SMALL_BUDGET, seed=3, sampler="qmc"
+            A100, budget=SMALL_BUDGET, seed=3, sampler="tpe"
         )
-        groups = self._record_groups(engine)
+        groups, _batch_of = self._record_groups(engine)
         monkeypatch.setattr(
             _SearchState, "time_up",
             lambda state: len(groups) >= self.STOP_AFTER,

@@ -1,6 +1,6 @@
-"""Pluggable-sampler tests: registry UX, annealer byte-identity behind the
-ask/tell interface, adaptive-sampler seed determinism, and
-the successive-halving never-prunes-the-best property."""
+"""Sampler tests: name lookup and typo UX, annealer and TPE byte-identity
+behind the ask/tell interface, TPE seed determinism, and the
+successive-halving never-prunes-the-best property."""
 
 from __future__ import annotations
 
@@ -16,14 +16,14 @@ from repro.bench.runner import CorpusRunner
 from repro.gpu import A100
 from repro.search import (
     AnnealerSampler,
-    DTSSampler,
-    QMCSampler,
+    AskBatch,
     Sampler,
     ScrambledSobol,
     SearchBudget,
     SearchEngine,
     SuccessiveHalvingPruner,
     TPESampler,
+    enumerate_param_grid,
     get_sampler,
     sampler_names,
 )
@@ -36,7 +36,11 @@ GOLDEN_HISTORY_DIGEST = "698d9cef81eb821dce2abedb5b13ef4e"
 GOLDEN_MATRIX = "2D_27628_bjtcai"
 GOLDEN_BUDGET = dict(max_total_evals=96)
 
-ADAPTIVE = ["qmc", "tpe", "dts"]
+# TPE's history digest, recorded before QMC/D-TS and the sampler registry
+# were deleted: one standard-budget search on pl-512 (engine seed 0).
+GOLDEN_TPE_DIGEST = "6348348c8ea55b975e5c8f437f1674f6"
+
+ADAPTIVE = ["tpe"]
 
 
 def _history_digest(result) -> str:
@@ -45,12 +49,12 @@ def _history_digest(result) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Registry and typo UX
+# Name lookup and typo UX
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
     def test_names(self):
-        assert sampler_names() == ["annealer", "dts", "qmc", "tpe"]
+        assert sampler_names() == ["annealer", "tpe"]
 
     def test_default_is_annealer(self):
         assert get_sampler(None) is AnnealerSampler
@@ -62,9 +66,7 @@ class TestRegistry:
     def test_unknown_name_lists_registered(self):
         with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
             get_sampler("bogus")
-        with pytest.raises(
-            ValueError, match="annealer, dts, qmc, tpe"
-        ):
+        with pytest.raises(ValueError, match="samplers: annealer, tpe$"):
             get_sampler("bogus")
 
     def test_cli_types_reject_cleanly(self):
@@ -72,30 +74,12 @@ class TestRegistry:
 
         from repro.cli import _sampler_arg, _sampler_seed_arg
 
-        assert _sampler_arg("qmc") is QMCSampler
+        assert _sampler_arg("tpe") is TPESampler
         assert _sampler_seed_arg("17") == 17
-        with pytest.raises(argparse.ArgumentTypeError, match="registered samplers"):
+        with pytest.raises(argparse.ArgumentTypeError, match="samplers: annealer, tpe"):
             _sampler_arg("bogus")
         with pytest.raises(argparse.ArgumentTypeError, match="integer sampler seed"):
             _sampler_seed_arg("seven")
-
-    def test_duplicate_registration_errors(self):
-        from repro.search.samplers import register_sampler
-
-        class Dup(Sampler):
-            name = "tpe"
-
-            def begin(self, space, rng, seed):  # pragma: no cover
-                pass
-
-            def ask(self, history):  # pragma: no cover
-                return None
-
-            def tell(self, batches, records):  # pragma: no cover
-                pass
-
-        with pytest.raises(ValueError, match="duplicate sampler"):
-            register_sampler(Dup)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +127,33 @@ class TestAnnealerByteIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive-sampler determinism
+# Byte identity: TPE
+# ---------------------------------------------------------------------------
+
+class TestTPEByteIdentity:
+    def test_golden_across_store(self, tmp_path):
+        """A standard-budget TPE search keeps its recorded history, with
+        the design store on and off (TPE never draws during evaluation)."""
+        matrix = power_law_matrix(512, avg_degree=8, seed=1, name="pl-512")
+        for use_store in (False, True):
+            engine = SearchEngine(
+                A100,
+                budget=SearchBudget(),
+                seed=0,
+                sampler="tpe",
+                store=JournalStore(tmp_path / "s") if use_store else None,
+            )
+            try:
+                result = engine.search(matrix)
+            finally:
+                engine.close()
+            assert _history_digest(result) == GOLDEN_TPE_DIGEST, (
+                f"store={use_store} diverged from the recorded TPE digest"
+            )
+
+
+# ---------------------------------------------------------------------------
+# TPE determinism
 # ---------------------------------------------------------------------------
 
 class TestAdaptiveDeterminism:
@@ -173,8 +183,8 @@ class TestAdaptiveDeterminism:
         ]
 
     def test_sampler_seed_changes_trajectory(self, matrix):
-        a = self._search(matrix, "qmc", sampler_seed=1)
-        b = self._search(matrix, "qmc", sampler_seed=2)
+        a = self._search(matrix, "tpe", sampler_seed=1)
+        b = self._search(matrix, "tpe", sampler_seed=2)
         assert [r.identity() for r in a.history] != [
             r.identity() for r in b.history
         ]
@@ -188,6 +198,41 @@ class TestAdaptiveDeterminism:
 # ---------------------------------------------------------------------------
 # Successive halving
 # ---------------------------------------------------------------------------
+
+#: full measurements allowed in the pruning comparison — fewer than the
+#: fixed stream holds, so measuring everything cannot reach its end.
+PRUNE_BUDGET = 40
+
+
+class _FixedStreamSampler(Sampler):
+    """History-independent sampler for the pruning comparison: each
+    archetype seed's coarse grid, one batch per seed, in seed order."""
+
+    name = "fixed-stream"
+    uses_ml_level = False
+    prunes = True
+
+    def begin(self, space, rng, seed):
+        grid_rng = np.random.default_rng(seed)
+        self._batches = [
+            AskBatch(
+                proposal,
+                enumerate_param_grid(
+                    proposal.graph,
+                    proposal.locks,
+                    cap=space.budget.coarse_evals_per_structure,
+                    rng=grid_rng,
+                ),
+            )
+            for proposal in space.seed_proposals()
+        ]
+
+    def ask(self, history):
+        return self._batches.pop(0) if self._batches else None
+
+    def tell(self, batch, records):
+        pass
+
 
 class TestSuccessiveHalving:
     def test_waves_partition_in_descending_order(self):
@@ -241,22 +286,21 @@ class TestSuccessiveHalving:
         assert max(measured, default=0.0) == max(measured_all, default=0.0)
 
     def test_pruning_never_hurts_on_a_real_search(self):
-        """QMC asks the same candidate sequence regardless of history, and
-        per batch the pruner always measures the batch's best valid
-        candidate (the hypothesis property above).  So at an equal
-        full-measurement budget the pruned run — which stretches the same
-        budget across strictly more batches — must end at least as good as
-        measuring everything (a pruner whose survivor floor no batch
-        exceeds)."""
+        """A fixed-stream sampler asks the same candidate sequence
+        regardless of history, and per batch the pruner always measures
+        the batch's best valid candidate (the hypothesis property above).
+        So at an equal full-measurement budget the pruned run — which
+        stretches the same budget across at least as many batches — must
+        end at least as good as measuring everything (a pruner whose
+        survivor floor no batch exceeds)."""
         matrix = power_law_matrix(384, avg_degree=6, seed=2, name="pl-384")
         results = {}
         for pruning in (True, False):
             engine = SearchEngine(
                 A100,
-                budget=SearchBudget(max_total_evals=400),
+                budget=SearchBudget(max_total_evals=PRUNE_BUDGET),
                 seed=0,
-                sampler="qmc",
-                sampler_seed=3,
+                sampler=_FixedStreamSampler,
             )
             if not pruning:
                 engine.sh_pruner = SuccessiveHalvingPruner(min_survivors=10**6)
@@ -267,6 +311,10 @@ class TestSuccessiveHalving:
         assert results[True].best_gflops >= results[False].best_gflops
         assert results[True].sampler_pruned > 0
         assert results[False].sampler_pruned == 0
+        # the budget binds: full measurement runs out before the stream,
+        # while the pruned run reaches further into it
+        assert results[False].total_evaluations == PRUNE_BUDGET
+        assert results[True].structures_tried > results[False].structures_tried
 
 
 # ---------------------------------------------------------------------------
